@@ -163,10 +163,10 @@ pub const FIG5_METRICS: &[MetricDef] = &[
         // Heap churn per displayed frame (non-zero only when the
         // counting allocator is compiled in via `host-prof`). Unlike
         // wall clock this is near-deterministic, so the tolerance is
-        // tighter.
+        // tight enough to catch a 10 % rise in heap churn.
         name: names::host::ALLOC_BYTES_PER_FRAME,
         direction: Direction::LowerIsBetter,
-        tolerance: 0.30,
+        tolerance: 0.10,
         gated: true,
         latency: false,
     },
@@ -230,7 +230,7 @@ pub const TRAFFIC_METRICS: &[MetricDef] = &[
     MetricDef {
         name: names::host::ALLOC_BYTES_PER_FRAME,
         direction: Direction::LowerIsBetter,
-        tolerance: 0.30,
+        tolerance: 0.10,
         gated: true,
         latency: false,
     },

@@ -140,6 +140,16 @@ impl CommandCache {
     /// Sender side: offers a command for transmission. Returns the token
     /// to put on the wire and updates the cache deterministically.
     pub fn offer(&mut self, encoded: &[u8]) -> CacheToken {
+        match self.offer_ref(encoded) {
+            Some(key) => CacheToken::Ref(key),
+            None => CacheToken::Full(encoded.to_vec()),
+        }
+    }
+
+    /// [`Self::offer`] without building the token: returns the key to
+    /// send as a [`CacheToken::Ref`] on a hit, and `None` on a miss, when
+    /// the caller sends `encoded` itself as the full body.
+    pub fn offer_ref(&mut self, encoded: &[u8]) -> Option<u64> {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let key = content_key(encoded);
         if let Some(&idx) = self.map.get(&key) {
@@ -148,14 +158,14 @@ impl CommandCache {
                 hits.inc();
             }
             self.touch(idx);
-            CacheToken::Ref(key)
+            Some(key)
         } else {
             self.misses += 1;
             if let Some((_, misses)) = &self.counters {
                 misses.inc();
             }
             self.insert(key, encoded.to_vec());
-            CacheToken::Full(encoded.to_vec())
+            None
         }
     }
 
@@ -165,22 +175,33 @@ impl CommandCache {
     /// — a protocol desynchronization (impossible when both sides start
     /// empty and see the same token stream).
     pub fn accept(&mut self, token: &CacheToken) -> Option<Vec<u8>> {
-        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         match token {
-            CacheToken::Ref(key) => {
-                let idx = *self.map.get(key)?;
-                self.touch(idx);
-                Some(self.nodes[idx].value.clone())
-            }
+            CacheToken::Ref(key) => self.accept_ref(*key).map(<[u8]>::to_vec),
             CacheToken::Full(data) => {
-                let key = content_key(data);
-                if let Some(&idx) = self.map.get(&key) {
-                    self.touch(idx);
-                } else {
-                    self.insert(key, data.clone());
-                }
+                self.accept_full(data);
                 Some(data.clone())
             }
+        }
+    }
+
+    /// Receiver side of a [`CacheToken::Ref`]: the cached bytes, borrowed,
+    /// or `None` when this cache does not hold `key` (a desync).
+    pub fn accept_ref(&mut self, key: u64) -> Option<&[u8]> {
+        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
+        let idx = *self.map.get(&key)?;
+        self.touch(idx);
+        Some(&self.nodes[idx].value)
+    }
+
+    /// Receiver side of a [`CacheToken::Full`] body: caches a copy of
+    /// `data` unless it is already held.
+    pub fn accept_full(&mut self, data: &[u8]) {
+        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
+        let key = content_key(data);
+        if let Some(&idx) = self.map.get(&key) {
+            self.touch(idx);
+        } else {
+            self.insert(key, data.to_vec());
         }
     }
 

@@ -14,12 +14,17 @@
 //! The last block is always a literal run (LZ4's end-of-block rule). The
 //! decompressor supports overlapping matches (RLE-style copies).
 
+use std::cell::RefCell;
+
 /// Minimum match length, per the LZ4 spec.
 const MIN_MATCH: usize = 4;
 /// Hash table size (power of two).
 const HASH_BITS: u32 = 16;
 /// Maximum backward offset.
 const MAX_OFFSET: usize = 65535;
+/// Most output bytes one input byte can decode to: a 255-valued match
+/// length extension byte adds 255 bytes of output.
+const MAX_EXPANSION: usize = 255;
 
 /// Errors from [`decompress`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +33,8 @@ pub enum Lz4Error {
     Truncated,
     /// A match referenced data before the start of the output.
     BadOffset,
+    /// The block decodes to more than the caller's size bound.
+    TooLarge,
 }
 
 impl std::fmt::Display for Lz4Error {
@@ -35,14 +42,15 @@ impl std::fmt::Display for Lz4Error {
         match self {
             Lz4Error::Truncated => write!(f, "compressed data truncated"),
             Lz4Error::BadOffset => write!(f, "match offset before start of output"),
+            Lz4Error::TooLarge => write!(f, "decompressed data exceeds its size bound"),
         }
     }
 }
 
 impl std::error::Error for Lz4Error {}
 
-/// Per-call accounting emitted by [`compress_framed`], consumed by the
-/// uplink attribution profiler to report the LZ4 residual.
+/// Per-call accounting of one compressed block, consumed by the uplink
+/// attribution profiler to report the LZ4 residual.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Lz4Frame {
     /// Bytes fed to the compressor (the token stream).
@@ -58,16 +66,6 @@ impl Lz4Frame {
     }
 }
 
-/// [`compress`] plus exact input/output byte accounting for attribution.
-pub fn compress_framed(input: &[u8]) -> (Vec<u8>, Lz4Frame) {
-    let out = compress(input);
-    let frame = Lz4Frame {
-        input_bytes: input.len() as u64,
-        output_bytes: out.len() as u64,
-    };
-    (out, frame)
-}
-
 #[inline]
 fn hash(word: u32) -> usize {
     // Fibonacci hashing on the 4-byte window.
@@ -77,6 +75,121 @@ fn hash(word: u32) -> usize {
 #[inline]
 fn read_u32(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]])
+}
+
+/// The compressor's hash table of last-seen positions, reused across
+/// calls.
+///
+/// A slot holds `base + i` for position `i` of the call that wrote it.
+/// Each call starts with `base` past every position stored so far, so
+/// slots left by earlier calls read as empty and the table is never
+/// cleared between calls. Only when a call's positions would overflow
+/// `u32` is the table zeroed and `base` restarted at 1.
+///
+/// [`compress`] and [`compress_into`] use one table per thread; a table
+/// of its own gives the same bytes.
+pub struct MatchTable {
+    slots: Box<[u32]>,
+    base: u32,
+}
+
+impl std::fmt::Debug for MatchTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MatchTable")
+            .field("base", &self.base)
+            .finish()
+    }
+}
+
+impl Default for MatchTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl MatchTable {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::with_base(1)
+    }
+
+    /// Creates an empty table whose next call starts at position base
+    /// `base` (at least 1). A base near `u32::MAX` makes the next calls
+    /// take the overflow reset.
+    pub fn with_base(base: u32) -> Self {
+        MatchTable {
+            slots: vec![0; 1 << HASH_BITS].into_boxed_slice(),
+            base: base.max(1),
+        }
+    }
+
+    /// Appends the LZ4 block of `input` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is 4 GiB or longer.
+    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        gbooster_telemetry::prof_scope!(gbooster_telemetry::names::host::LZ4);
+        let n = input.len();
+        if n < MIN_MATCH + 1 {
+            emit_sequence(out, input, 0, 0);
+            return;
+        }
+        assert!(
+            n < u32::MAX as usize,
+            "LZ4 input must be shorter than 4 GiB"
+        );
+        let span = n as u32;
+        if self.base.checked_add(span).is_none() {
+            self.slots.fill(0);
+            self.base = 1;
+        }
+        let base = self.base;
+        let table = &mut self.slots;
+        let mut anchor = 0usize; // start of pending literals
+        let mut i = 0usize;
+        // Leave room so the final literals rule is satisfiable.
+        let search_end = n - MIN_MATCH;
+        while i <= search_end {
+            let h = hash(read_u32(input, i));
+            let stored = table[h];
+            table[h] = base + i as u32;
+            let candidate = (stored >= base).then(|| (stored - base) as usize);
+            match candidate {
+                Some(candidate)
+                    if i - candidate <= MAX_OFFSET
+                        && read_u32(input, candidate) == read_u32(input, i) =>
+                {
+                    // Extend the match forward.
+                    let mut len = MIN_MATCH;
+                    while i + len < n && input[candidate + len] == input[i + len] {
+                        len += 1;
+                    }
+                    // LZ4 end rule: the block must end with >= 1 literal
+                    // byte (real LZ4 requires 5; 1 suffices for our
+                    // decoder).
+                    if i + len >= n {
+                        len = n - i - 1;
+                        if len < MIN_MATCH {
+                            i += 1;
+                            continue;
+                        }
+                    }
+                    emit_sequence(out, &input[anchor..i], i - candidate, len);
+                    i += len;
+                    anchor = i;
+                }
+                _ => i += 1,
+            }
+        }
+        // Trailing literals.
+        emit_sequence(out, &input[anchor..], 0, 0);
+        self.base = base + span;
+    }
+}
+
+thread_local! {
+    static TABLE: RefCell<MatchTable> = RefCell::new(MatchTable::new());
 }
 
 /// Compresses `input` into an LZ4 block.
@@ -94,51 +207,15 @@ fn read_u32(data: &[u8], i: usize) -> u32 {
 /// assert_eq!(back, data);
 /// ```
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    gbooster_telemetry::prof_scope!(gbooster_telemetry::names::host::LZ4);
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let n = input.len();
-    if n < MIN_MATCH + 1 {
-        emit_sequence(&mut out, input, 0, 0);
-        return out;
-    }
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut anchor = 0usize; // start of pending literals
-    let mut i = 0usize;
-    // Leave room so the final literals rule is satisfiable.
-    let search_end = n - MIN_MATCH;
-    while i <= search_end {
-        let h = hash(read_u32(input, i));
-        let candidate = table[h];
-        table[h] = i;
-        if candidate != usize::MAX
-            && i - candidate <= MAX_OFFSET
-            && read_u32(input, candidate) == read_u32(input, i)
-        {
-            // Extend the match forward.
-            let mut len = MIN_MATCH;
-            while i + len < n && input[candidate + len] == input[i + len] {
-                len += 1;
-            }
-            // LZ4 end rule: the block must end with >= 1 literal byte
-            // (real LZ4 requires 5; 1 suffices for our decoder).
-            if i + len >= n {
-                len = n - i - 1;
-                if len < MIN_MATCH {
-                    i += 1;
-                    continue;
-                }
-            }
-            let offset = i - candidate;
-            emit_sequence(&mut out, &input[anchor..i], offset, len);
-            i += len;
-            anchor = i;
-        } else {
-            i += 1;
-        }
-    }
-    // Trailing literals.
-    emit_sequence(&mut out, &input[anchor..], 0, 0);
+    compress_into(input, &mut out);
     out
+}
+
+/// [`compress`], appending the block to `out` (which may already hold,
+/// say, a transport header). Uses this thread's [`MatchTable`].
+pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
+    TABLE.with(|table| table.borrow_mut().compress_into(input, out));
 }
 
 /// Emits one sequence. `match_len == 0` means "final literals only".
@@ -174,16 +251,42 @@ fn write_len_ext(out: &mut Vec<u8>, mut rest: usize) {
     out.push(rest as u8);
 }
 
+/// The most bytes a `compressed_len`-byte block can decode to. A size
+/// claimed for a block beyond this bound is corrupt.
+pub fn max_decompressed_len(compressed_len: usize) -> usize {
+    compressed_len.saturating_mul(MAX_EXPANSION)
+}
+
 /// Decompresses an LZ4 block produced by [`compress`].
 ///
 /// `max_size` bounds the output (pass the known decompressed size).
 ///
 /// # Errors
 ///
-/// Returns [`Lz4Error`] on truncated input or invalid match offsets.
+/// Returns [`Lz4Error`] on truncated input, invalid match offsets, or
+/// output beyond `max_size`.
 pub fn decompress(input: &[u8], max_size: usize) -> Result<Vec<u8>, Lz4Error> {
+    let mut out = Vec::new();
+    decompress_into(input, max_size, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`], appending the output to `out`. Match offsets reach
+/// back only into this block's output.
+///
+/// Every literal run and match is checked against `max_size` before it
+/// is copied, and `out` grows by at most
+/// `min(max_size, max_decompressed_len(input.len()))` bytes of
+/// capacity. On error `out` may hold a partial block.
+///
+/// # Errors
+///
+/// As [`decompress`].
+pub fn decompress_into(input: &[u8], max_size: usize, out: &mut Vec<u8>) -> Result<(), Lz4Error> {
     gbooster_telemetry::prof_scope!(gbooster_telemetry::names::host::LZ4_DECODE);
-    let mut out = Vec::with_capacity(max_size);
+    let start = out.len();
+    let max_size = max_size.min(max_decompressed_len(input.len()));
+    out.reserve_exact(max_size);
     let mut i = 0usize;
     while i < input.len() {
         let token = input[i];
@@ -193,8 +296,11 @@ pub fn decompress(input: &[u8], max_size: usize) -> Result<Vec<u8>, Lz4Error> {
         if lit_len == 15 {
             lit_len += read_len_ext(input, &mut i)?;
         }
-        if i + lit_len > input.len() {
+        if lit_len > input.len() - i {
             return Err(Lz4Error::Truncated);
+        }
+        if lit_len > max_size - (out.len() - start) {
+            return Err(Lz4Error::TooLarge);
         }
         out.extend_from_slice(&input[i..i + lit_len]);
         i += lit_len;
@@ -212,20 +318,24 @@ pub fn decompress(input: &[u8], max_size: usize) -> Result<Vec<u8>, Lz4Error> {
             match_len += read_len_ext(input, &mut i)?;
         }
         match_len += MIN_MATCH;
-        if offset == 0 || offset > out.len() {
+        let produced = out.len() - start;
+        if offset == 0 || offset > produced {
             return Err(Lz4Error::BadOffset);
         }
-        // Byte-by-byte copy supports overlapping matches.
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        if match_len > max_size - produced {
+            return Err(Lz4Error::TooLarge);
         }
-        if out.len() > max_size {
-            return Err(Lz4Error::Truncated);
+        // An overlapping match repeats its last `offset` bytes: copy
+        // whole periods, doubling each time, until the match is done.
+        let from = out.len() - offset;
+        let mut remaining = match_len;
+        while remaining > 0 {
+            let chunk = remaining.min(out.len() - from);
+            out.extend_from_within(from..from + chunk);
+            remaining -= chunk;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn read_len_ext(input: &[u8], i: &mut usize) -> Result<usize, Lz4Error> {
@@ -353,6 +463,71 @@ mod tests {
         // Token: 0 literals, match_len 4; offset 5 with empty output.
         let bogus = [0x00u8, 5, 0];
         assert_eq!(decompress(&bogus, 100), Err(Lz4Error::BadOffset));
+    }
+
+    #[test]
+    fn reused_table_matches_a_fresh_one() {
+        let inputs: Vec<Vec<u8>> = (0..6u32)
+            .map(|k| {
+                (0..3000u32)
+                    .map(|i| ((i % (7 + k)) * 31 + i / 97) as u8)
+                    .collect()
+            })
+            .collect();
+        // Start close enough to the u32 limit that the third input
+        // takes the overflow reset.
+        let mut reused = MatchTable::with_base(u32::MAX - 7000);
+        for input in &inputs {
+            let mut a = Vec::new();
+            reused.compress_into(input, &mut a);
+            let mut b = Vec::new();
+            MatchTable::new().compress_into(input, &mut b);
+            assert_eq!(a, b);
+            assert_eq!(compress(input), b, "thread-local table");
+        }
+        assert!(reused.base < 20_000, "the base was reset");
+    }
+
+    #[test]
+    fn compress_into_appends_after_existing_bytes() {
+        let data = b"header-free payload, payload, payload".to_vec();
+        let mut out = vec![1, 2, 3, 4];
+        compress_into(&data, &mut out);
+        assert_eq!(&out[..4], &[1, 2, 3, 4]);
+        assert_eq!(out[4..], compress(&data)[..]);
+        let mut back = vec![9];
+        decompress_into(&out[4..], data.len(), &mut back).unwrap();
+        assert_eq!(back[0], 9);
+        assert_eq!(&back[1..], &data[..]);
+    }
+
+    #[test]
+    fn oversized_match_is_rejected_before_it_is_copied() {
+        // One literal, then a match of 4 + 15 + 255 * 4000 bytes: 4,005
+        // input bytes that would decode to 1,020,020.
+        let mut block = vec![0x1f, b'a', 1, 0];
+        block.extend(std::iter::repeat_n(255u8, 4000));
+        block.push(0);
+        assert_eq!(block.len(), 4005);
+        let mut out = Vec::new();
+        assert_eq!(
+            decompress_into(&block, 16, &mut out),
+            Err(Lz4Error::TooLarge)
+        );
+        assert!(out.capacity() <= 16, "capacity {}", out.capacity());
+        // Literals past the bound are refused as well.
+        assert_eq!(
+            decompress(&[0x50, 1, 2, 3, 4, 5], 4),
+            Err(Lz4Error::TooLarge)
+        );
+    }
+
+    #[test]
+    fn expansion_bound_covers_the_longest_match() {
+        let data = vec![7u8; 1 << 20];
+        let compressed = compress(&data);
+        assert!(max_decompressed_len(compressed.len()) >= data.len());
+        assert_eq!(decompress(&compressed, usize::MAX).unwrap(), data);
     }
 
     #[test]

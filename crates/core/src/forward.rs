@@ -12,8 +12,18 @@
 //! Both ends run the *same* deterministic [`CommandCache`] update rule, so
 //! the receiver can always expand a `Ref` token; a miss is a protocol
 //! violation surfaced as [`GBoosterError::CacheDesync`].
+//!
+//! Both directions reuse their scratch buffers across frames: the
+//! forwarder's resolved-command list, encoded command and token stream,
+//! and the receiver's decompressed token stream. Commands are encoded,
+//! cached, expanded and decoded from borrowed slices, and LZ4 keeps one
+//! match table per thread, so a steady-state frame allocates little
+//! beyond its wire bytes and decoded commands. A buffer is kept only
+//! while its capacity is at most [`SCRATCH_RETAIN_MAX`] (64 KiB, the LZ4
+//! window); a larger one, such as the setup stream's ~1.6 MB token
+//! stream, is dropped after its frame so it does not pin peak heap.
 
-use gbooster_codec::lru::{CacheToken, CommandCache};
+use gbooster_codec::lru::CommandCache;
 use gbooster_codec::lz4::{self, Lz4Frame};
 use gbooster_gles::command::{ClientMemory, GlCommand};
 use gbooster_gles::serialize::{
@@ -25,6 +35,20 @@ use crate::error::GBoosterError;
 
 /// Default cache capacity on each end (identical on both, by protocol).
 pub const CACHE_CAPACITY: usize = 4096;
+
+/// Largest scratch capacity kept from one frame to the next: 64 KiB, the
+/// LZ4 window.
+pub const SCRATCH_RETAIN_MAX: usize = 64 * 1024;
+
+/// Readies `buf` for the next frame: cleared, or released when its
+/// capacity exceeds [`SCRATCH_RETAIN_MAX`].
+fn recycle<T>(buf: &mut Vec<T>) {
+    if buf.capacity() * std::mem::size_of::<T>() > SCRATCH_RETAIN_MAX {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
 
 /// Result of forwarding one frame.
 #[derive(Clone, Debug)]
@@ -93,6 +117,14 @@ pub struct CommandForwarder {
     cache: CommandCache,
     counters: Option<ForwardCounters>,
     attr: Option<AttributionLog>,
+    /// Commands the resolver released for the current input command.
+    resolved: Vec<GlCommand>,
+    /// Wire encoding of the current command.
+    encoded: Vec<u8>,
+    /// The frame's token stream, before LZ4.
+    tokens: Vec<u8>,
+    /// The frame's wire bytes, copied out at their exact size.
+    wire: Vec<u8>,
 }
 
 impl Default for CommandForwarder {
@@ -109,6 +141,10 @@ impl CommandForwarder {
             cache: CommandCache::new(CACHE_CAPACITY),
             counters: None,
             attr: None,
+            resolved: Vec::new(),
+            encoded: Vec::new(),
+            tokens: Vec::new(),
+            wire: Vec::new(),
         }
     }
 
@@ -147,34 +183,47 @@ impl CommandForwarder {
         gbooster_telemetry::prof_scope!(names::host::FORWARD);
         let hits_before = self.cache.hits();
         let misses_before = self.cache.misses();
-        let mut tokens = Vec::new();
+        let CommandForwarder {
+            resolver,
+            cache,
+            attr,
+            resolved,
+            encoded,
+            tokens,
+            wire,
+            ..
+        } = self;
+        // A frame that failed midway leaves its scratch uncleared.
+        resolved.clear();
+        tokens.clear();
         let mut raw_bytes = 0usize;
         let mut command_count = 0usize;
         // Per-(category, outcome) accounting for the attribution tap;
         // first-seen order keeps apportionment deterministic.
         let mut attr_entries: Vec<UplinkFrameEntry> = Vec::new();
         for cmd in commands {
-            for resolved in self.resolver.push(cmd.clone(), mem)? {
-                let mut encoded = Vec::new();
-                encode_command(&resolved, &mut encoded)?;
+            resolver.push_into(cmd.clone(), mem, resolved)?;
+            for ready in resolved.drain(..) {
+                encoded.clear();
+                encode_command(&ready, encoded)?;
                 raw_bytes += encoded.len();
                 command_count += 1;
-                let token = self.cache.offer(&encoded);
-                let cache_hit = token.is_ref();
-                let token_len = token.wire_bytes();
-                match token {
-                    CacheToken::Ref(key) => {
+                let token_start = tokens.len();
+                let cache_hit = match cache.offer_ref(encoded) {
+                    Some(key) => {
                         tokens.push(0x00);
                         tokens.extend_from_slice(&key.to_le_bytes());
+                        true
                     }
-                    CacheToken::Full(bytes) => {
+                    None => {
                         tokens.push(0x01);
-                        tokens.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                        tokens.extend_from_slice(&bytes);
+                        tokens.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
+                        tokens.extend_from_slice(encoded);
+                        false
                     }
-                }
-                if self.attr.is_some() {
-                    let category = command_category(&resolved);
+                };
+                if attr.is_some() {
+                    let category = command_category(&ready);
                     let entry = match attr_entries
                         .iter_mut()
                         .find(|e| e.category == category && e.cache_hit == cache_hit)
@@ -193,15 +242,28 @@ impl CommandForwarder {
                     };
                     entry.commands += 1;
                     entry.raw_bytes += encoded.len() as u64;
-                    entry.token_bytes += token_len as u64;
+                    entry.token_bytes += (tokens.len() - token_start) as u64;
                 }
             }
         }
         let token_bytes = tokens.len();
-        let (compressed, lz4_frame) = lz4::compress_framed(&tokens);
-        let mut wire = Vec::with_capacity(compressed.len() + 4);
+        wire.clear();
         wire.extend_from_slice(&(token_bytes as u32).to_le_bytes());
-        wire.extend_from_slice(&compressed);
+        lz4::compress_into(tokens, wire);
+        recycle(resolved);
+        recycle(encoded);
+        recycle(tokens);
+        // The frame outlives this call, so it gets an exact-size copy
+        // rather than the scratch buffer's slack.
+        let wire = {
+            let exact = wire.to_vec();
+            recycle(wire);
+            exact
+        };
+        let lz4_frame = Lz4Frame {
+            input_bytes: token_bytes as u64,
+            output_bytes: (wire.len() - 4) as u64,
+        };
         if let Some(c) = &self.counters {
             c.raw_bytes.add(raw_bytes as u64);
             c.token_bytes.add(token_bytes as u64);
@@ -220,6 +282,15 @@ impl CommandForwarder {
             cache_misses: self.cache.misses() - misses_before,
             lz4: lz4_frame,
         })
+    }
+
+    /// Scratch capacity, in bytes, this forwarder keeps between frames.
+    #[cfg(test)]
+    fn retained_scratch_bytes(&self) -> usize {
+        self.resolved.capacity() * std::mem::size_of::<GlCommand>()
+            + self.encoded.capacity()
+            + self.tokens.capacity()
+            + self.wire.capacity()
     }
 
     /// Lifetime cache hit rate.
@@ -242,6 +313,9 @@ impl CommandForwarder {
 #[derive(Clone, Debug)]
 pub struct ServiceReceiver {
     cache: CommandCache,
+    /// The current frame's decompressed token stream; empty between
+    /// frames, so a clone copies no scratch.
+    tokens: Vec<u8>,
 }
 
 impl Default for ServiceReceiver {
@@ -255,6 +329,7 @@ impl ServiceReceiver {
     pub fn new() -> Self {
         ServiceReceiver {
             cache: CommandCache::new(CACHE_CAPACITY),
+            tokens: Vec::new(),
         }
     }
 
@@ -270,14 +345,31 @@ impl ServiceReceiver {
             return Err(GBoosterError::Codec("frame shorter than header".into()));
         }
         let token_len = u32::from_le_bytes([wire[0], wire[1], wire[2], wire[3]]) as usize;
-        let tokens = lz4::decompress(&wire[4..], token_len)
-            .map_err(|e| GBoosterError::Codec(e.to_string()))?;
-        if tokens.len() != token_len {
+        let payload = &wire[4..];
+        // Refuse a header the payload cannot decode to before reserving
+        // anything for it.
+        if token_len > lz4::max_decompressed_len(payload.len()) {
             return Err(GBoosterError::Codec(format!(
-                "token stream {} bytes, header said {token_len}",
-                tokens.len()
+                "header claims {token_len} token bytes from a {}-byte payload",
+                payload.len()
             )));
         }
+        let mut tokens = std::mem::take(&mut self.tokens);
+        let decoded = match lz4::decompress_into(payload, token_len, &mut tokens) {
+            Err(e) => Err(GBoosterError::Codec(e.to_string())),
+            Ok(()) if tokens.len() != token_len => Err(GBoosterError::Codec(format!(
+                "token stream {} bytes, header said {token_len}",
+                tokens.len()
+            ))),
+            Ok(()) => self.decode_tokens(&tokens),
+        };
+        recycle(&mut tokens);
+        self.tokens = tokens;
+        decoded
+    }
+
+    /// Expands and decodes a decompressed token stream.
+    fn decode_tokens(&mut self, tokens: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
         let mut commands = Vec::new();
         let mut i = 0usize;
         while i < tokens.len() {
@@ -291,7 +383,7 @@ impl ServiceReceiver {
                     i += 8;
                     let key = u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes"));
                     self.cache
-                        .accept(&CacheToken::Ref(key))
+                        .accept_ref(key)
                         .ok_or(GBoosterError::CacheDesync(key))?
                 }
                 0x01 => {
@@ -303,22 +395,25 @@ impl ServiceReceiver {
                     i += 4;
                     let body = tokens
                         .get(i..i + len)
-                        .ok_or_else(|| GBoosterError::Codec("truncated command body".into()))?
-                        .to_vec();
+                        .ok_or_else(|| GBoosterError::Codec("truncated command body".into()))?;
                     i += len;
-                    self.cache
-                        .accept(&CacheToken::Full(body))
-                        .expect("full tokens always decode")
+                    self.cache.accept_full(body);
+                    body
                 }
                 other => return Err(GBoosterError::Codec(format!("unknown token tag {other}"))),
             };
-            let (cmd, used) = decode_command(&encoded)?;
+            let (cmd, used) = decode_command(encoded)?;
             if used != encoded.len() {
                 return Err(GBoosterError::Codec("trailing bytes after command".into()));
             }
             commands.push(cmd);
         }
         Ok(commands)
+    }
+
+    /// Scratch capacity, in bytes, this receiver keeps between frames.
+    pub fn retained_scratch_bytes(&self) -> usize {
+        self.tokens.capacity()
     }
 
     /// Bytes resident in the receiver cache.
@@ -435,6 +530,58 @@ mod tests {
             ratio < 0.7,
             "combined ratio {ratio} exceeds the paper's 70%"
         );
+    }
+
+    #[test]
+    fn scratch_retention_is_bounded_after_the_setup_stream() {
+        let (mut tx, mut rx, _mem) = pipeline();
+        let mut gen = TraceGenerator::new(GenreProfile::action(), 1.0, 640, 360, 3);
+        let setup = gen.setup_trace();
+        let first = tx
+            .forward_frame(&setup.commands, gen.client_memory())
+            .unwrap();
+        assert!(
+            first.token_bytes > SCRATCH_RETAIN_MAX,
+            "the setup stream must outgrow the retention limit"
+        );
+        assert_eq!(rx.receive(&first.wire).unwrap().len(), first.command_count);
+        assert!(tx.retained_scratch_bytes() <= SCRATCH_RETAIN_MAX);
+        assert!(rx.retained_scratch_bytes() <= SCRATCH_RETAIN_MAX);
+        // What the receiver must rebuild: the frame after deferred
+        // resolution, from a resolver that saw the same commands.
+        let mut resolver = DeferredResolver::new();
+        for cmd in &setup.commands {
+            resolver.push(cmd.clone(), gen.client_memory()).unwrap();
+        }
+        for _ in 0..5 {
+            let frame = gen.next_frame(1.0 / 30.0);
+            let mut expected = Vec::new();
+            for cmd in &frame.commands {
+                resolver
+                    .push_into(cmd.clone(), gen.client_memory(), &mut expected)
+                    .unwrap();
+            }
+            let fwd = tx
+                .forward_frame(&frame.commands, gen.client_memory())
+                .unwrap();
+            assert_eq!(rx.receive(&fwd.wire).unwrap(), expected);
+            assert!(tx.retained_scratch_bytes() <= SCRATCH_RETAIN_MAX);
+            assert!(rx.retained_scratch_bytes() <= SCRATCH_RETAIN_MAX);
+        }
+        assert!(
+            rx.retained_scratch_bytes() > 0,
+            "steady-state frames keep scratch"
+        );
+    }
+
+    #[test]
+    fn oversized_header_is_rejected_before_decompression() {
+        let mut rx = ServiceReceiver::new();
+        let err = rx
+            .receive(&[0xff, 0xff, 0xff, 0xff, 0x10, b'a'])
+            .unwrap_err();
+        assert!(matches!(err, GBoosterError::Codec(_)), "{err:?}");
+        assert_eq!(rx.retained_scratch_bytes(), 0);
     }
 
     #[test]

@@ -1113,6 +1113,23 @@ impl DeferredResolver {
         cmd: GlCommand,
         mem: &ClientMemory,
     ) -> Result<Vec<GlCommand>, WireError> {
+        let mut out = Vec::new();
+        self.push_into(cmd, mem, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::push`], appending the ready command(s) to `out` instead of
+    /// returning a new `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::push`]; `out` may then hold some released pointers.
+    pub fn push_into(
+        &mut self,
+        cmd: GlCommand,
+        mem: &ClientMemory,
+        out: &mut Vec<GlCommand>,
+    ) -> Result<(), WireError> {
         // Shadow the element-buffer state needed to size DrawElements.
         match &cmd {
             GlCommand::BindBuffer {
@@ -1138,17 +1155,14 @@ impl DeferredResolver {
             } if matches!(source, VertexSource::ClientMemory(_)) => {
                 // Defer: transmission postponed until a draw reveals size.
                 self.held.insert(index, cmd);
-                Ok(Vec::new())
+                return Ok(());
             }
             GlCommand::VertexAttribPointer { index, .. } => {
                 // A new buffer-backed pointer supersedes any held one.
                 self.held.remove(&index);
-                Ok(vec![cmd])
             }
             GlCommand::DrawArrays { first, count, .. } => {
-                let mut out = self.release_held(first + count, mem)?;
-                out.push(cmd);
-                Ok(out)
+                self.release_held(first + count, mem, out)?;
             }
             GlCommand::DrawElements {
                 count,
@@ -1157,27 +1171,28 @@ impl DeferredResolver {
                 ..
             } => {
                 let max_index = self.max_index(count, index_type, indices)?;
-                let mut out = self.release_held(max_index + 1, mem)?;
-                out.push(cmd);
-                Ok(out)
+                self.release_held(max_index + 1, mem, out)?;
             }
-            other => Ok(vec![other]),
+            _ => {}
         }
+        out.push(cmd);
+        Ok(())
     }
 
     /// Materializes every held pointer for `vertex_count` vertices and
-    /// returns them (insertion order is irrelevant — all precede the draw).
+    /// appends them to `out` in attribute order (all precede the draw).
     fn release_held(
         &mut self,
         vertex_count: u32,
         mem: &ClientMemory,
-    ) -> Result<Vec<GlCommand>, WireError> {
+        out: &mut Vec<GlCommand>,
+    ) -> Result<(), WireError> {
         if self.held.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let mut indices: Vec<u32> = self.held.keys().copied().collect();
         indices.sort_unstable();
-        let mut out = Vec::with_capacity(indices.len());
+        out.reserve(indices.len());
         for i in indices {
             let cmd = self.held.remove(&i).expect("key just listed");
             let GlCommand::VertexAttribPointer {
@@ -1212,7 +1227,7 @@ impl DeferredResolver {
                 source: VertexSource::Materialized(Arc::new(data)),
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_index(&self, count: u32, ty: IndexType, src: &IndexSource) -> Result<u32, WireError> {

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use gbooster::codec::lru::CommandCache;
 use gbooster::codec::turbo::{TurboDecoder, TurboEncoder};
 use gbooster::codec::{jpeg, lz4};
+use gbooster::core::forward::{ServiceReceiver, SCRATCH_RETAIN_MAX};
 use gbooster::core::scheduler::{Dispatcher, ReorderBuffer, ServiceNode};
 use gbooster::gles::command::{GlCommand, UniformValue, VertexSource};
 use gbooster::gles::serialize::{decode_command, decode_stream, encode_command, encode_stream};
@@ -243,6 +244,84 @@ proptest! {
     #[test]
     fn lz4_decompress_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = lz4::decompress(&bytes, 1 << 16);
+    }
+
+    #[test]
+    fn lz4_reused_table_matches_fresh_tables(
+        inputs in prop::collection::vec(prop::collection::vec(0u8..6, 0..3000), 1..8),
+        headroom in 0u32..12_000,
+    ) {
+        // The reused table starts `headroom` positions short of the u32
+        // limit, so sequences longer than that force a base reset.
+        let mut reused = lz4::MatchTable::with_base(u32::MAX - headroom);
+        for input in &inputs {
+            let mut fresh = Vec::new();
+            lz4::MatchTable::new().compress_into(input, &mut fresh);
+            let mut again = Vec::new();
+            reused.compress_into(input, &mut again);
+            prop_assert_eq!(&again, &fresh);
+            prop_assert_eq!(&lz4::compress(input), &fresh);
+            prop_assert_eq!(&lz4::decompress(&fresh, input.len()).unwrap(), input);
+        }
+    }
+
+    #[test]
+    fn lz4_garbage_returns_err_and_never_over_allocates(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        max_size in 0usize..2048,
+    ) {
+        let mut out = Vec::new();
+        let decoded = lz4::decompress_into(&bytes, max_size, &mut out);
+        prop_assert!(out.len() <= max_size);
+        prop_assert!(out.capacity() <= max_size.min(lz4::max_decompressed_len(bytes.len())));
+        if decoded.is_ok() {
+            prop_assert_eq!(lz4::decompress(&bytes, max_size).ok(), Some(out));
+        }
+    }
+
+    #[test]
+    fn lz4_oversized_match_returns_err_before_copying(
+        literals in 0usize..20,
+        extension in 0usize..4000,
+        max_size in 0usize..4096,
+    ) {
+        // `literals` bytes, then a match at offset 1 whose length uses
+        // `extension` 255-bytes: 4 + 15 + 255 * extension bytes.
+        let mut block = vec![((literals.min(15) as u8) << 4) | 0x0f];
+        if literals >= 15 {
+            block.push((literals - 15) as u8);
+        }
+        block.extend(std::iter::repeat_n(b'z', literals));
+        block.extend_from_slice(&[1, 0]);
+        block.extend(std::iter::repeat_n(255u8, extension));
+        block.push(0);
+        let decoded_len = literals + 19 + 255 * extension;
+        let mut out = Vec::new();
+        let decoded = lz4::decompress_into(&block, max_size, &mut out);
+        prop_assert!(out.capacity() <= max_size);
+        if literals == 0 {
+            prop_assert_eq!(decoded, Err(lz4::Lz4Error::BadOffset));
+        } else if decoded_len > max_size {
+            prop_assert_eq!(decoded, Err(lz4::Lz4Error::TooLarge));
+        } else {
+            prop_assert_eq!(decoded, Ok(()));
+            prop_assert_eq!(out.len(), decoded_len);
+        }
+    }
+
+    #[test]
+    fn wire_header_beyond_lz4_expansion_returns_err(
+        claimed in any::<u32>(),
+        payload in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut wire = claimed.to_le_bytes().to_vec();
+        wire.extend_from_slice(&payload);
+        let mut rx = ServiceReceiver::new();
+        let received = rx.receive(&wire);
+        if claimed as usize > lz4::max_decompressed_len(payload.len()) {
+            prop_assert!(received.is_err());
+        }
+        prop_assert!(rx.retained_scratch_bytes() <= SCRATCH_RETAIN_MAX);
     }
 
     #[test]
