@@ -9,6 +9,12 @@
 //! model, and the Turbo encode-cost model. The actively-cooled service
 //! GPU never thermally throttles — the paper's explanation for GBooster's
 //! improved FPS *stability*.
+//!
+//! A standalone runtime decodes its own wire frames
+//! ([`ServiceRuntime::decode`]). The session engine's replicas are
+//! apply-only instead: multicast hands every replica the same bytes, so
+//! the engine decodes each frame once and passes the commands to
+//! [`ServiceRuntime::apply_frame`] on every live replica.
 
 use gbooster_gles::command::GlCommand;
 use gbooster_gles::state::GlContext;
@@ -344,20 +350,22 @@ impl ServiceRuntime {
     /// Delta-aware resync for a destination that already holds a
     /// replica of `resident` — the title's immutable setup segment,
     /// cached by the shared-segment machinery or surviving a restart
-    /// content-addressed on disk. The restored state is identical to a
-    /// full [`ServiceRuntime::resync`], but only the per-session delta
+    /// content-addressed on disk. The restored GL state is identical to
+    /// a full [`ServiceRuntime::resync`], but only the per-session delta
     /// travels; the returned value is the billable wire cost
     /// (`StateSnapshot::delta_wire_bytes`), which the caller charges to
     /// the uplink. The bytes *not* shipped belong in
     /// `migrate.snapshot_bytes_saved`.
+    ///
+    /// No receiver is installed: this is the resync of an apply-only
+    /// replica, whose caller decodes each frame once and hands it the
+    /// commands (the session engine's multicast replication).
     pub fn resync_with_resident(
         &mut self,
         snapshot: &gbooster_gles::state::StateSnapshot,
         resident: &gbooster_gles::state::StateSnapshot,
-        receiver: ServiceReceiver,
     ) -> u64 {
         self.context = GlContext::restore(snapshot);
-        self.receiver = receiver;
         snapshot.delta_wire_bytes(resident)
     }
 
@@ -486,7 +494,7 @@ mod tests {
         let warm = source.context().snapshot();
 
         let mut dest = ServiceRuntime::new(DeviceSpec::minix_neo_u1());
-        let billed = dest.resync_with_resident(&warm, &resident, source.receiver.clone());
+        let billed = dest.resync_with_resident(&warm, &resident);
 
         // State is complete — digest-identical to a full resync…
         assert_eq!(dest.state_digest(), source.state_digest());

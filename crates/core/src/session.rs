@@ -139,7 +139,9 @@ pub struct SessionReport {
     pub extra_memory_mb: f64,
     /// Per-service-device request counts (empty for local/cloud).
     pub per_device_requests: Vec<u64>,
-    /// True if all service-device GL context replicas ended bit-identical.
+    /// True if every surviving service-device GL context replica ended
+    /// bit-identical to the phone-side reference state the engine
+    /// decodes each frame into.
     pub state_consistent: bool,
     /// Simulated wall-clock covered.
     pub duration: SimDuration,
@@ -486,8 +488,8 @@ fn record_session_counters(registry: &Registry, frames: u64, ledger: &CpuLedger,
 ///
 /// Everything needed to present the frame later travels with it: the
 /// phone-side span boundaries, the uplink transfer, the dispatch
-/// booking, and the dispatch target's decoded commands (kept so a node
-/// failure can re-execute the draws on the next-best node).
+/// booking, and the frame's decoded commands (kept so a node failure
+/// can re-execute the draws on the next-best node).
 struct PendingFrame {
     seq: u64,
     ctx: TraceContext,
@@ -628,18 +630,20 @@ struct OffloadEngine {
     node_events: Vec<NodeEvent>,
     next_event: usize,
     partitions: Vec<LinkPartition>,
-    /// Phone-side reference GL state: every forwarded wire frame is also
-    /// decoded here (and, with the radio fully down, raw state commands
-    /// apply directly), so a rejoining node can be brought current with
-    /// one snapshot transfer instead of a history replay.
+    /// Phone-side reference GL state: the state-mutating commands of
+    /// every forwarded wire frame apply here (and, with the radio fully
+    /// down, raw state commands apply directly), so a rejoining node can
+    /// be brought current with one snapshot transfer instead of a
+    /// history replay.
     reference_ctx: GlContext,
     /// The reference state right after the setup stream: the immutable
     /// segment every replica holds (and keeps across death — shared
     /// segments are content-addressed). Rejoin resyncs ship only the
     /// delta against this baseline.
     setup_snapshot: gbooster_gles::state::StateSnapshot,
-    /// Phone-side mirror of the sender's LRU dictionary; a clone hands a
-    /// rejoining node a decoder that resolves future `Ref` tokens.
+    /// Phone-side mirror of the sender's LRU dictionary: the engine's
+    /// only decoder. Every forwarded frame is decoded here once and the
+    /// commands are applied to the reference and every live replica.
     reference_rx: ServiceReceiver,
     slo: SloConfig,
     /// Frame-latency EWMA in ms (0 = no samples yet / reset on release).
@@ -766,24 +770,21 @@ impl OffloadEngine {
             encode,
             dispatch_at,
         );
-        let mut commands = Vec::new();
+        let commands = self.reference_ingest_wire(&fwd.wire)?;
         for (j, rt) in self.runtimes.iter_mut().enumerate() {
             if self.node_dead[j] {
                 continue;
             }
-            let cmds = rt.decode(&fwd.wire)?;
             if j == decision.node {
                 // The dispatch target runs the per-session validation
                 // pass before touching shared replica state; a stream
                 // our own tracegen produced must never trip it.
-                let stats = rt.apply_frame_validated(&cmds, true)?;
+                let stats = rt.apply_frame_validated(&commands, true)?;
                 debug_assert_eq!(stats.commands_rejected, 0, "tracegen stream rejected");
-                commands = cmds;
             } else {
-                rt.apply_frame(&cmds, false)?;
+                rt.apply_frame(&commands, false)?;
             }
         }
-        self.reference_ingest_wire(&fwd.wire)?;
 
         // Phone-side span boundaries. The forwarding cost splits into its
         // sub-stages; the last one ends exactly at `app_done` so integer-
@@ -891,11 +892,11 @@ impl OffloadEngine {
     }
 
     /// Brings a dead-but-responsive node current with a one-shot state
-    /// resync — a snapshot of the phone-side reference GL state plus a
-    /// clone of the reference receiver (so future LRU `Ref` tokens
-    /// resolve) — and re-admits it to the dispatch pool with a warm-up
-    /// penalty once the transfer lands. O(state), not O(history): the
-    /// command log since the node died is never replayed.
+    /// resync — a snapshot of the phone-side reference GL state — and
+    /// re-admits it to the dispatch pool with a warm-up penalty once the
+    /// transfer lands. O(state), not O(history): the command log since
+    /// the node died is never replayed. No receiver travels: replicas
+    /// apply the commands the reference decodes.
     fn rejoin_node(&mut self, node: usize, now: SimTime) -> Result<(), GBoosterError> {
         let snap = self.reference_ctx.snapshot();
         // The rejoiner still holds the title's immutable setup segment
@@ -906,11 +907,7 @@ impl OffloadEngine {
         self.c_resync_saved.add(snap.wire_bytes() - resync_bytes);
         let tx = self.transport.send(resync_bytes as usize, now);
         self.c_resync_bytes.add(resync_bytes);
-        let billed = self.runtimes[node].resync_with_resident(
-            &snap,
-            &self.setup_snapshot,
-            self.reference_rx.clone(),
-        );
+        let billed = self.runtimes[node].resync_with_resident(&snap, &self.setup_snapshot);
         debug_assert_eq!(billed, resync_bytes, "resync bill must match the delta");
         debug_assert_eq!(
             self.runtimes[node].state_digest(),
@@ -926,17 +923,19 @@ impl OffloadEngine {
         Ok(())
     }
 
-    /// Decodes a forwarded wire frame into the phone-side reference
-    /// state, exactly as every replica does (state-mutating commands
-    /// only — draws never touch replicated state).
-    fn reference_ingest_wire(&mut self, wire: &[u8]) -> Result<(), GBoosterError> {
+    /// Decodes a forwarded wire frame — the frame's only decode — and
+    /// applies its state-mutating commands to the phone-side reference
+    /// state (draws never touch replicated state). Every live replica
+    /// then applies the returned commands: under UDP multicast they all
+    /// receive the same bytes and would hold the same dictionary.
+    fn reference_ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
         let cmds = self.reference_rx.receive(wire)?;
         for cmd in &cmds {
             if cmd.is_state_mutating() {
                 self.reference_ctx.apply(cmd)?;
             }
         }
-        Ok(())
+        Ok(cmds)
     }
 
     /// Engages the local-render fallback: subsequent frames render on
@@ -1004,14 +1003,12 @@ impl OffloadEngine {
             let textures_used = self.texture_count + if trace.scene_change { 2 } else { 0 };
             self.transport.on_frame(trace.touches, textures_used);
             let up = self.transport.send(fwd.wire.len(), app_done);
+            let cmds = self.reference_ingest_wire(&fwd.wire)?;
             for (j, rt) in self.runtimes.iter_mut().enumerate() {
-                if self.node_dead[j] {
-                    continue;
+                if !self.node_dead[j] {
+                    rt.apply_frame(&cmds, false)?;
                 }
-                let cmds = rt.decode(&fwd.wire)?;
-                rt.apply_frame(&cmds, false)?;
             }
-            self.reference_ingest_wire(&fwd.wire)?;
             (app_secs, app_done, up)
         } else {
             // Radio dark: the sender cache is frozen (nothing is
@@ -1579,19 +1576,21 @@ fn run_offloaded(
     }
     let setup_wire = forwarder.forward_frame(&setup.commands, gen.client_memory())?;
     let first_up = transport.send(setup_wire.wire.len(), SimTime::ZERO);
-    for rt in &mut runtimes {
-        let cmds = rt.decode(&setup_wire.wire)?;
-        rt.apply_frame(&cmds, false)?;
-    }
-    // Phone-side reference: decodes the same wire stream the replicas
-    // do, so a rejoin snapshot is always current (docs/RESILIENCE.md).
+    // Phone-side reference: the one decoder of the wire stream. Replicas
+    // apply what it decodes, and a rejoin snapshot of its state is
+    // always current (docs/RESILIENCE.md).
     let mut reference_rx = ServiceReceiver::new();
     let mut reference_ctx = GlContext::new();
-    for cmd in &reference_rx.receive(&setup_wire.wire)? {
+    let setup_cmds = reference_rx.receive(&setup_wire.wire)?;
+    for cmd in &setup_cmds {
         if cmd.is_state_mutating() {
             reference_ctx.apply(cmd)?;
         }
     }
+    for rt in &mut runtimes {
+        rt.apply_frame(&setup_cmds, false)?;
+    }
+    drop(setup_cmds);
     // The setup segment is immutable and content-addressed; a rejoiner
     // keeps its replica across death, so rejoin resyncs bill only the
     // delta against this baseline (docs/MIGRATION.md).
@@ -1717,6 +1716,7 @@ fn run_offloaded(
         fallback,
         fallback_since,
         mut fallback_secs,
+        reference_ctx,
         ..
     } = engine;
     let total = last_shown - SimTime::ZERO;
@@ -1807,18 +1807,16 @@ fn run_offloaded(
         }
     }
 
-    // Replica digests must agree across the *surviving* nodes; a killed
-    // node stopped ingesting the stream at its failure instant and is
-    // excluded (Section VI-B's consistency check).
-    let mut alive_digests = runtimes
+    // Every *surviving* replica must match the phone-side reference it
+    // applies its commands from; a killed node stopped ingesting the
+    // stream at its failure instant and is excluded (Section VI-B's
+    // consistency check).
+    let reference_digest = reference_ctx.digest();
+    let state_consistent = runtimes
         .iter()
         .zip(&node_dead)
         .filter(|(_, &dead)| !dead)
-        .map(|(rt, _)| rt.state_digest());
-    let state_consistent = match alive_digests.next() {
-        Some(first) => alive_digests.all(|d| d == first),
-        None => true,
-    };
+        .all(|(rt, _)| rt.state_digest() == reference_digest);
     record_session_counters(&registry, fps.frame_count() as u64, &ledger, cpu_util);
     // Remote spans nobody claimed (a frame that never displayed, or a
     // context mismatch) would linger in the log: count them as orphans.

@@ -562,20 +562,58 @@ impl WindowedHistogramCore {
         self.merged.record_one(v);
     }
 
-    /// Merged distribution of the samples whose slot intersects
-    /// `(now − window, now]`. Slot granularity applies: a slot is
-    /// included as soon as any part of it falls inside the window.
-    pub fn window(&self, now: SimTime, window: SimDuration) -> HistogramSnapshot {
+    /// The retained slots that intersect `(now − window, now]`. Slot
+    /// granularity applies: a slot is included as soon as any part of
+    /// it falls inside the window.
+    fn slots_in(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+    ) -> impl Iterator<Item = &HistogramSnapshot> + '_ {
         let now_us = now.as_micros();
         let start_us = now_us.saturating_sub(window.as_micros());
+        let width = self.slot_width_us;
+        self.slots
+            .iter()
+            .filter(move |&&(idx, _)| {
+                let slot_start = idx * width;
+                slot_start + width > start_us && slot_start <= now_us
+            })
+            .map(|(_, slot)| slot)
+    }
+
+    /// Merged distribution of the samples whose slot intersects
+    /// `(now − window, now]` (see [`Self::window_count_over`] for the
+    /// two counts a burn rate needs, without the merge).
+    pub fn window(&self, now: SimTime, window: SimDuration) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::default();
-        for (idx, slot) in &self.slots {
-            let slot_start = idx * self.slot_width_us;
-            if slot_start + self.slot_width_us > start_us && slot_start <= now_us {
-                out.merge(slot);
-            }
+        for slot in self.slots_in(now, window) {
+            out.merge(slot);
         }
         out
+    }
+
+    /// `(count, count_over(threshold))` of [`Self::window`]`(now,
+    /// window)`, read straight off the slots instead of merging them
+    /// into a dense snapshot. A slot whose largest sample is at or
+    /// below `threshold` has nothing past the threshold's bucket, so its
+    /// buckets are walked only when its `max` exceeds the threshold
+    /// (slots are filled only through
+    /// [`HistogramSnapshot::record_one`], so their `max` is exact).
+    pub fn window_count_over(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+        threshold: u64,
+    ) -> (u64, u64) {
+        let (mut count, mut over) = (0u64, 0u64);
+        for slot in self.slots_in(now, window) {
+            count = count.saturating_add(slot.count);
+            if slot.max > threshold {
+                over = over.saturating_add(slot.count_over(threshold));
+            }
+        }
+        (count, over)
     }
 
     /// The all-time merged view (every sample ever recorded, including

@@ -145,6 +145,21 @@ impl WindowedHistogram {
             .window(now, window)
     }
 
+    /// `(count, count_over(threshold))` of the samples in `(now −
+    /// window, now]` — the two numbers [`Self::window`] would yield for
+    /// a burn rate, without building the merged snapshot.
+    pub fn window_count_over(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+        threshold: u64,
+    ) -> (u64, u64) {
+        self.0
+            .lock()
+            .expect("windowed histogram poisoned")
+            .window_count_over(now, window, threshold)
+    }
+
     /// The all-time merged view.
     pub fn merged(&self) -> HistogramSnapshot {
         self.0

@@ -176,3 +176,36 @@ fn loss_degrades_latency_not_delivery() {
         "loss must never drop a frame"
     );
 }
+
+/// Multicast hands every replica the same bytes, so the engine decodes
+/// each forwarded frame once — not once per replica plus once for the
+/// phone-side reference — and the apply-only replicas still end on the
+/// reference state.
+#[test]
+fn each_forwarded_frame_is_decoded_once_for_all_replicas() {
+    let report = Session::run(&scenario(4, true, true));
+    assert_eq!(report.per_device_requests.len(), 4);
+    let profile = report
+        .host_profile
+        .as_ref()
+        .expect("offloaded sessions carry a host profile");
+    let calls = |leaf: &str| -> u64 {
+        profile
+            .paths
+            .iter()
+            .filter(|p| p.leaf() == leaf)
+            .map(|p| p.calls)
+            .sum()
+    };
+    let forwarded = calls(names::host::FORWARD);
+    assert!(forwarded > report.frames, "setup stream plus every frame");
+    assert_eq!(
+        calls(names::host::GLES_DECODE),
+        forwarded,
+        "one decode per forwarded frame"
+    );
+    assert!(
+        report.state_consistent,
+        "every replica must end on the reference state"
+    );
+}

@@ -2,11 +2,12 @@
 
 use std::sync::Arc;
 
-use gbooster::codec::lru::CommandCache;
+use gbooster::codec::lru::{content_key, CommandCache};
 use gbooster::codec::turbo::{TurboDecoder, TurboEncoder};
 use gbooster::codec::{jpeg, lz4};
-use gbooster::core::forward::{ServiceReceiver, SCRATCH_RETAIN_MAX};
+use gbooster::core::forward::{ServiceReceiver, CACHE_CAPACITY, SCRATCH_RETAIN_MAX};
 use gbooster::core::scheduler::{Dispatcher, ReorderBuffer, ServiceNode};
+use gbooster::core::GBoosterError;
 use gbooster::gles::command::{GlCommand, UniformValue, VertexSource};
 use gbooster::gles::serialize::{decode_command, decode_stream, encode_command, encode_stream};
 use gbooster::gles::state::GlContext;
@@ -20,6 +21,8 @@ use gbooster::net::rudp::{simulate_transfer, RudpConfig};
 use gbooster::sim::device::DeviceSpec;
 use gbooster::sim::display::FpsRecorder;
 use gbooster::sim::time::{SimDuration, SimTime};
+use gbooster::telemetry::hist::WindowedHistogramCore;
+use gbooster::telemetry::WindowedHistogram;
 use proptest::prelude::*;
 
 fn arb_primitive() -> impl Strategy<Value = Primitive> {
@@ -493,6 +496,215 @@ proptest! {
         prop_assert!(median <= 1_001.0, "median {} exceeds 1/min-interval", median);
         let stability = rec.stability();
         prop_assert!((0.0..=1.0).contains(&stability));
+    }
+}
+
+// ---- Burn-rate counts read straight off the windowed slots.
+
+/// A sample relative to the threshold it is judged against: anywhere,
+/// the extremes, or inside the threshold's own bucket (the low bits
+/// below the bucket's 16-way split vary freely there).
+fn sample_value(kind: u8, raw: u64, threshold: u64) -> u64 {
+    match kind {
+        0 => raw,
+        1 => 0,
+        2 => u64::MAX,
+        3 if threshold >= 128 => {
+            let msb = 63 - threshold.leading_zeros();
+            let mask = (1u64 << (msb - 4)) - 1;
+            (threshold & !mask) | (raw & mask)
+        }
+        3 => threshold,
+        _ => raw % 300_000,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `window_count_over` is the SLO evaluator's shortcut past the
+    /// merged window snapshot; it must report exactly the merged
+    /// snapshot's count and over-threshold count.
+    #[test]
+    fn window_count_over_matches_the_merged_window(
+        slot_us in 1u64..50_000,
+        retain in 1usize..48,
+        samples in prop::collection::vec((0u64..30_000, 0u8..5, any::<u64>()), 0..160),
+        threshold_kind in 0u8..4,
+        threshold_raw in any::<u64>(),
+        queries in prop::collection::vec((0u64..3_000_000, 0u64..100_000), 1..6),
+    ) {
+        let threshold = match threshold_kind {
+            0 => threshold_raw,
+            1 => 0,
+            2 => u64::MAX,
+            _ => threshold_raw % 200_000,
+        };
+        let mut core = WindowedHistogramCore::new(SimDuration::from_micros(slot_us), retain);
+        let handle = WindowedHistogram::detached(SimDuration::from_micros(slot_us), retain);
+        let mut at_us = 0u64;
+        for &(gap_us, kind, raw) in &samples {
+            at_us += gap_us;
+            let v = sample_value(kind, raw, threshold);
+            core.record(SimTime::from_micros(at_us), v);
+            handle.record(SimTime::from_micros(at_us), v);
+        }
+        for &(window_us, ahead_us) in &queries {
+            let (now, window) = (
+                SimTime::from_micros(at_us + ahead_us),
+                SimDuration::from_micros(window_us),
+            );
+            let merged = core.window(now, window);
+            let expected = (merged.count(), merged.count_over(threshold));
+            prop_assert_eq!(core.window_count_over(now, window, threshold), expected);
+            prop_assert_eq!(handle.window_count_over(now, window, threshold), expected);
+        }
+    }
+}
+
+// ---- Untrusted bytes through the session engine's one decoder. Every
+// frame below has a valid header and LZ4 body; only its token stream
+// (the LRU layer's `Ref` / `Full` tokens) is bad.
+
+/// Frames a token stream as the forwarder does: the stream's length,
+/// then the stream LZ4-compressed.
+fn wire_frame(tokens: &[u8]) -> Vec<u8> {
+    let mut wire = (tokens.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&lz4::compress(tokens));
+    wire
+}
+
+/// Appends `cmd` as a `Full` token (tag, body length, encoded body)
+/// and returns the cache key the body is stored under.
+fn push_full(tokens: &mut Vec<u8>, cmd: &GlCommand) -> u64 {
+    let mut body = Vec::new();
+    encode_command(cmd, &mut body).unwrap();
+    tokens.push(0x01);
+    tokens.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    tokens.extend_from_slice(&body);
+    content_key(&body)
+}
+
+/// Appends a `Ref` token (tag, cache key).
+fn push_ref(tokens: &mut Vec<u8>, key: u64) {
+    tokens.push(0x00);
+    tokens.extend_from_slice(&key.to_le_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn receiver_rejects_a_ref_it_never_saw(
+        seen in prop::collection::vec(arb_command(), 0..8),
+        key in any::<u64>(),
+    ) {
+        let mut rx = ServiceReceiver::new();
+        let mut tokens = Vec::new();
+        let keys: Vec<u64> = seen.iter().map(|c| push_full(&mut tokens, c)).collect();
+        prop_assert!(rx.receive(&wire_frame(&tokens)).is_ok());
+        if keys.contains(&key) {
+            return Ok(());
+        }
+        // Refs to what the receiver holds resolve; the unseen one fails
+        // the frame.
+        tokens.clear();
+        for &k in &keys {
+            push_ref(&mut tokens, k);
+        }
+        push_ref(&mut tokens, key);
+        let received = rx.receive(&wire_frame(&tokens));
+        prop_assert!(
+            matches!(received, Err(GBoosterError::CacheDesync(k)) if k == key),
+            "{:?}",
+            received
+        );
+    }
+
+    /// The final token is cut anywhere after its tag: inside a `Ref`'s
+    /// key, inside a `Full` token's length, or inside its command body.
+    #[test]
+    fn receiver_rejects_truncated_tokens(
+        prefix in prop::collection::vec(arb_command(), 0..6),
+        last in arb_command(),
+        as_ref in any::<bool>(),
+        cut in any::<usize>(),
+    ) {
+        let mut rx = ServiceReceiver::new();
+        let mut tokens = Vec::new();
+        let keys: Vec<u64> = prefix.iter().map(|c| push_full(&mut tokens, c)).collect();
+        let start = tokens.len();
+        if as_ref && !keys.is_empty() {
+            push_ref(&mut tokens, keys[cut % keys.len()]);
+        } else {
+            push_full(&mut tokens, &last);
+        }
+        let token_len = tokens.len() - start;
+        tokens.truncate(start + 1 + cut % (token_len - 1));
+        prop_assert!(rx.receive(&wire_frame(&tokens)).is_err());
+    }
+
+    /// A whole `Full` token whose body is a cut command encoding: the
+    /// token layer accepts it, the command decoder must not.
+    #[test]
+    fn receiver_rejects_a_cut_command_in_a_whole_token(
+        cmd in arb_command(),
+        cut in any::<usize>(),
+    ) {
+        let mut body = Vec::new();
+        encode_command(&cmd, &mut body).unwrap();
+        body.truncate(cut % body.len());
+        let mut tokens = vec![0x01];
+        tokens.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        tokens.extend_from_slice(&body);
+        prop_assert!(ServiceReceiver::new().receive(&wire_frame(&tokens)).is_err());
+    }
+
+    #[test]
+    fn receiver_rejects_unknown_token_tags(
+        prefix in prop::collection::vec(arb_command(), 0..6),
+        tag in 2u8..=255,
+        tail in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut tokens = Vec::new();
+        for cmd in &prefix {
+            push_full(&mut tokens, cmd);
+        }
+        tokens.push(tag);
+        tokens.extend_from_slice(&tail);
+        prop_assert!(ServiceReceiver::new().receive(&wire_frame(&tokens)).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `CACHE_CAPACITY + extra` distinct commands evict the first
+    /// `extra`, least recently used first: a `Ref` to any of those
+    /// fails, a `Ref` to a survivor still resolves.
+    #[test]
+    fn receiver_rejects_a_ref_to_an_evicted_key(
+        extra in 1usize..32,
+        probe in any::<usize>(),
+    ) {
+        let mut rx = ServiceReceiver::new();
+        let mut tokens = Vec::new();
+        let keys: Vec<u64> = (0..CACHE_CAPACITY + extra)
+            .map(|i| push_full(&mut tokens, &GlCommand::GenBuffer(BufferId(i as u32))))
+            .collect();
+        prop_assert!(rx.receive(&wire_frame(&tokens)).is_ok());
+        tokens.clear();
+        push_ref(&mut tokens, keys[extra + probe % CACHE_CAPACITY]);
+        prop_assert!(rx.receive(&wire_frame(&tokens)).is_ok());
+        let evicted = keys[probe % extra];
+        tokens.clear();
+        push_ref(&mut tokens, evicted);
+        let received = rx.receive(&wire_frame(&tokens));
+        prop_assert!(
+            matches!(received, Err(GBoosterError::CacheDesync(k)) if k == evicted),
+            "{:?}",
+            received
+        );
     }
 }
 
