@@ -229,11 +229,16 @@ pub fn decompress(data: &[u8]) -> Result<(u32, u32, Vec<u8>), JpegError> {
     if width == 0 || height == 0 || quality == 0 || quality > 100 {
         return Err(JpegError::BadHeader);
     }
-    let table = quant_table(quality);
-    let mut rgba = vec![255u8; (width * height * 4) as usize];
-    let mut i = 5usize;
     let bw = width.div_ceil(8);
     let bh = height.div_ceil(8);
+    // Every block of every channel ends in an EOB byte: refuse a header
+    // whose blocks cannot fit the payload before allocating the image.
+    if 3 * bw as usize * bh as usize > data.len() - 5 {
+        return Err(JpegError::Truncated);
+    }
+    let table = quant_table(quality);
+    let mut rgba = vec![255u8; width as usize * height as usize * 4];
+    let mut i = 5usize;
     for channel in 0..3usize {
         for by in 0..bh {
             for bx in 0..bw {
@@ -256,7 +261,9 @@ pub fn decompress(data: &[u8]) -> Result<(u32, u32, Vec<u8>), JpegError> {
                 }
                 let mut block = [0f32; 64];
                 for (k, &zz) in ZIGZAG.iter().enumerate() {
-                    block[zz] = (coeffs[k] * table[zz]) as f32;
+                    // Saturating: a garbage varint must not overflow; no
+                    // coefficient the encoder writes comes near it.
+                    block[zz] = coeffs[k].saturating_mul(table[zz]) as f32;
                 }
                 idct(&mut block);
                 for y in 0..8u32 {
@@ -266,7 +273,7 @@ pub fn decompress(data: &[u8]) -> Result<(u32, u32, Vec<u8>), JpegError> {
                         if px >= width || py >= height {
                             continue;
                         }
-                        let idx = ((py * width + px) * 4) as usize + channel;
+                        let idx = (py as usize * width as usize + px as usize) * 4 + channel;
                         rgba[idx] = (block[(y * 8 + x) as usize] + 128.0).clamp(0.0, 255.0) as u8;
                     }
                 }

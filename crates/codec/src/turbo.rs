@@ -66,7 +66,7 @@ pub enum TurboError {
     Truncated,
     /// Frame dimensions disagree with the decoder state.
     DimensionMismatch,
-    /// An embedded JPEG tile failed to decode.
+    /// An embedded tile lies outside the frame or failed to decode.
     BadTile,
     /// A delta frame arrived before any keyframe.
     NoKeyframe,
@@ -77,7 +77,7 @@ impl std::fmt::Display for TurboError {
         match self {
             TurboError::Truncated => write!(f, "turbo frame truncated"),
             TurboError::DimensionMismatch => write!(f, "frame dimensions changed mid-stream"),
-            TurboError::BadTile => write!(f, "embedded tile failed to decode"),
+            TurboError::BadTile => write!(f, "embedded tile is out of frame or failed to decode"),
             TurboError::NoKeyframe => write!(f, "delta frame received before keyframe"),
         }
     }
@@ -370,6 +370,9 @@ impl TurboDecoder {
             i += 8;
             let body = data.get(i..i + len).ok_or(TurboError::Truncated)?;
             i += len;
+            if tx >= width.div_ceil(TILE) || ty >= height.div_ceil(TILE) {
+                return Err(TurboError::BadTile);
+            }
             let (tw, th, tile) = jpeg::decompress(body).map_err(|_| TurboError::BadTile)?;
             let rect = tile_rect(width, height, tx, ty);
             if (tw, th) != (rect.2, rect.3) {

@@ -31,6 +31,7 @@
 //! `tenant="…"` base label through
 //! [`gbooster_telemetry::export::prometheus_text_with_labels`].
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -43,7 +44,9 @@ use gbooster_telemetry::query::QueryError;
 use gbooster_telemetry::sample::{self, FrameVerdict, TailSampler};
 use gbooster_telemetry::trace::{FrameTrace, SpanNode};
 use gbooster_telemetry::tsdb::Tsdb;
-use gbooster_telemetry::{names, ClockOffsetEstimator, Registry, TelemetrySnapshot};
+use gbooster_telemetry::{
+    names, ClockOffsetEstimator, Counter, Histogram, Registry, TelemetrySnapshot,
+};
 use gbooster_workload::games::GameTitle;
 use gbooster_workload::tracegen::TraceGenerator;
 use rand::rngs::StdRng;
@@ -775,6 +778,77 @@ struct FrameJob {
     down_bytes: u64,
 }
 
+/// Every tenant's FIFO frame queue, plus the ascending list of tenants
+/// whose queue is non-empty. All queue changes go through this type, so
+/// the list cannot disagree with the queues, and the fair-share pick
+/// walks only the tenants with queued work: rejected and idle tenants
+/// cost nothing per event.
+struct Backlog {
+    queues: Vec<VecDeque<FrameJob>>,
+    /// Tenants with queued work, ascending. Only admitted tenants queue
+    /// frames, so the capacity reserved for them is never outgrown.
+    ready: Vec<usize>,
+}
+
+impl Backlog {
+    fn new(tenants: usize, admitted: usize) -> Self {
+        Backlog {
+            queues: (0..tenants).map(|_| VecDeque::new()).collect(),
+            ready: Vec::with_capacity(admitted),
+        }
+    }
+
+    fn mark_ready(&mut self, t: usize) {
+        if let Err(at) = self.ready.binary_search(&t) {
+            self.ready.insert(at, t);
+        }
+    }
+
+    fn push_back(&mut self, t: usize, job: FrameJob) {
+        self.queues[t].push_back(job);
+        self.mark_ready(t);
+    }
+
+    fn push_front(&mut self, t: usize, job: FrameJob) {
+        self.queues[t].push_front(job);
+        self.mark_ready(t);
+    }
+
+    fn pop_front(&mut self, t: usize) -> Option<FrameJob> {
+        let job = self.queues[t].pop_front()?;
+        if self.queues[t].is_empty() {
+            let at = self
+                .ready
+                .binary_search(&t)
+                .expect("queued tenant is listed");
+            self.ready.remove(at);
+        }
+        Some(job)
+    }
+
+    fn front(&self, t: usize) -> Option<&FrameJob> {
+        self.queues[t].front()
+    }
+
+    /// Max-min fair share: the tenant with queued work that attained the
+    /// least GPU time in the current window (`attained`, indexed by
+    /// tenant; `None` before anything was charged to it), ties to the
+    /// lowest index.
+    fn pick(&self, attained: Option<&[f64]>) -> Option<usize> {
+        let got = |t: usize| attained.map_or(0.0, |v| v[t]);
+        let mut pick: Option<(f64, usize)> = None;
+        // `ready` ascends, so keeping the first of equal minima is the
+        // lowest-index tie-break.
+        for &t in &self.ready {
+            let g = got(t);
+            if pick.is_none_or(|(best, _)| g < best) {
+                pick = Some((g, t));
+            }
+        }
+        pick.map(|(_, t)| t)
+    }
+}
+
 /// Per-tenant live state.
 struct TenantState {
     spec: TenantSpec,
@@ -782,7 +856,12 @@ struct TenantState {
     fill_scale: f64,
     rng: StdRng,
     registry: Registry,
-    queue: VecDeque<FrameJob>,
+    /// Instruments fed once per frame, resolved from `registry` on first
+    /// use: each registers at the moment a by-name lookup would, but
+    /// later frames skip the registry's lock and map search.
+    c_uplink: OnceCell<Counter>,
+    c_downlink: OnceCell<Counter>,
+    h_latency: OnceCell<Histogram>,
     reorder: ReorderBuffer<(SimTime, SimTime)>,
     last_present: SimTime,
     frames_issued: u64,
@@ -797,6 +876,23 @@ struct TenantState {
     slo_fell_back: bool,
     incidents: u64,
     migrations: u32,
+}
+
+impl TenantState {
+    fn uplink_counter(&self) -> &Counter {
+        self.c_uplink
+            .get_or_init(|| self.registry.counter(names::fabric::UPLINK_BYTES))
+    }
+
+    fn downlink_counter(&self) -> &Counter {
+        self.c_downlink
+            .get_or_init(|| self.registry.counter(names::fabric::DOWNLINK_BYTES))
+    }
+
+    fn latency_histogram(&self) -> &Histogram {
+        self.h_latency
+            .get_or_init(|| self.registry.histogram(names::fabric::FRAME_LATENCY))
+    }
 }
 
 /// One live migration in flight (or finished). `epoch` guards the
@@ -1015,7 +1111,9 @@ impl SessionManager {
                 fill_scale,
                 rng,
                 registry,
-                queue: VecDeque::new(),
+                c_uplink: OnceCell::new(),
+                c_downlink: OnceCell::new(),
+                h_latency: OnceCell::new(),
                 reorder: ReorderBuffer::new(),
                 last_present: SimTime::ZERO,
                 frames_issued: 0,
@@ -1049,10 +1147,12 @@ impl SessionManager {
                 };
                 st.uplink_bytes += cost;
                 c_uplink.add(cost);
-                st.registry.counter(names::fabric::UPLINK_BYTES).add(cost);
+                st.uplink_counter().add(cost);
             }
             tenants.push(st);
         }
+
+        let mut backlog = Backlog::new(tenants.len(), n_admit);
 
         // ---- Session homing: each admitted tenant's GL-state
         // authority (its checkpoint lineage) lives on one node. Frames
@@ -1169,8 +1269,7 @@ impl SessionManager {
             ($st:expr, $tenant:expr, $seq:expr, $issued:expr, $present_at:expr, $local:expr) => {{
                 let st: &mut TenantState = $st;
                 st.reorder.insert($seq, ($present_at, $issued));
-                let base_seq = st.reorder.awaiting();
-                for (k, (ready_at, issued)) in st.reorder.pop_ready().into_iter().enumerate() {
+                while let Some((ready_at, issued)) = st.reorder.pop_next() {
                     let shown = ready_at.max(st.last_present);
                     st.last_present = shown;
                     let lat = shown - issued;
@@ -1180,7 +1279,7 @@ impl SessionManager {
                     // frames with their trace id (exemplars).
                     let mut tag: Option<u64> = None;
                     if let Some(o) = obs.as_mut() {
-                        let seq = base_seq + k as u64;
+                        let seq = st.reorder.awaiting() - 1;
                         let tid = sample::trace_id(session_of($tenant), seq);
                         // Waypoint cleanup is unconditional, but the
                         // span tree is built inside the closure — only
@@ -1218,15 +1317,11 @@ impl SessionManager {
                     match tag {
                         Some(tid) => {
                             h_latency.record_tagged(lat.as_micros(), tid);
-                            st.registry
-                                .histogram(names::fabric::FRAME_LATENCY)
-                                .record_tagged(lat.as_micros(), tid);
+                            st.latency_histogram().record_tagged(lat.as_micros(), tid);
                         }
                         None => {
                             h_latency.record(lat.as_micros());
-                            st.registry
-                                .histogram(names::fabric::FRAME_LATENCY)
-                                .record(lat.as_micros());
+                            st.latency_histogram().record(lat.as_micros());
                         }
                     }
                     st.frames_presented += 1;
@@ -1283,18 +1378,10 @@ impl SessionManager {
                 loop {
                     // Fair share: the session with the least GPU time
                     // attained in the current window goes first.
-                    let mut pick: Option<(f64, usize)> = None;
-                    for (t, st) in tenants.iter().enumerate() {
-                        if st.queue.is_empty() {
-                            continue;
-                        }
-                        let got = windows.get(&win).map_or(0.0, |v| v[t]);
-                        if pick.is_none_or(|(g, pt)| got < g || (got == g && t < pt)) {
-                            pick = Some((got, t));
-                        }
-                    }
-                    let Some((_, t)) = pick else { break };
-                    let fill = tenants[t].queue.front().expect("non-empty").fill;
+                    let Some(t) = backlog.pick(windows.get(&win).map(Vec::as_slice)) else {
+                        break;
+                    };
+                    let fill = backlog.front(t).expect("picked tenant has work").fill;
                     // Cross-session Eq. 4 over the idle nodes.
                     let Some(node) = dispatcher.best_idle_node(fill, now) else {
                         break;
@@ -1305,7 +1392,7 @@ impl SessionManager {
                         // completion pumped first). It will re-pump.
                         break;
                     }
-                    let job = tenants[t].queue.pop_front().expect("non-empty");
+                    let job = backlog.pop_front(t).expect("picked tenant has work");
                     let dec = dispatcher.dispatch_to(
                         node,
                         session_of(t),
@@ -1371,10 +1458,7 @@ impl SessionManager {
                 }
                 tenants[t].uplink_bytes += bytes;
                 c_uplink.add(bytes);
-                tenants[t]
-                    .registry
-                    .counter(names::fabric::UPLINK_BYTES)
-                    .add(bytes);
+                tenants[t].uplink_counter().add(bytes);
                 c_mig_bytes.add(bytes);
                 tenants[t]
                     .registry
@@ -1478,7 +1562,7 @@ impl SessionManager {
                                     render_local!(&mut tenants[t], t, job, now);
                                 } else {
                                     job.arrived = now;
-                                    tenants[t].queue.push_front(job);
+                                    backlog.push_front(t, job);
                                 }
                                 tenants[t].redispatches += 1;
                                 c_redispatch.inc();
@@ -1495,7 +1579,7 @@ impl SessionManager {
                                         continue;
                                     }
                                     tenants[t].local_mode = true;
-                                    while let Some(job) = tenants[t].queue.pop_front() {
+                                    while let Some(job) = backlog.pop_front(t) {
                                         render_local!(&mut tenants[t], t, job, now);
                                     }
                                 }
@@ -1554,10 +1638,7 @@ impl SessionManager {
                                         mg.bytes += bytes;
                                         tenants[t].uplink_bytes += bytes;
                                         c_uplink.add(bytes);
-                                        tenants[t]
-                                            .registry
-                                            .counter(names::fabric::UPLINK_BYTES)
-                                            .add(bytes);
+                                        tenants[t].uplink_counter().add(bytes);
                                         c_mig_bytes.add(bytes);
                                         tenants[t]
                                             .registry
@@ -1773,10 +1854,7 @@ impl SessionManager {
                         let down_secs = fabric_link_secs(job.down_bytes, cfg.loss_scale);
                         tenants[t].downlink_bytes += job.down_bytes;
                         c_downlink.add(job.down_bytes);
-                        tenants[t]
-                            .registry
-                            .counter(names::fabric::DOWNLINK_BYTES)
-                            .add(job.down_bytes);
+                        tenants[t].downlink_counter().add(job.down_bytes);
                         if let Some(o) = obs.as_mut() {
                             if let Some(e) = o.pending.get_mut(&(t as u32, job.seq)) {
                                 e.down_end = Some(now + SimDuration::from_secs_f64(down_secs));
@@ -1803,7 +1881,7 @@ impl SessionManager {
                     let job = uplinking
                         .remove(&(t as u32, b))
                         .expect("arriving frame was issued");
-                    tenants[t].queue.push_back(job);
+                    backlog.push_back(t, job);
                     pump!(now);
                 }
                 EV_ISSUE => {
@@ -1839,10 +1917,7 @@ impl SessionManager {
                         }
                         tenants[t].uplink_bytes += wire;
                         c_uplink.add(wire);
-                        tenants[t]
-                            .registry
-                            .counter(names::fabric::UPLINK_BYTES)
-                            .add(wire);
+                        tenants[t].uplink_counter().add(wire);
                         let arrive = now + SimDuration::from_secs_f64(up_secs);
                         uplinking.insert(
                             (t as u32, seq),
@@ -2234,5 +2309,67 @@ mod tests {
         assert!(text.contains("gbooster_fabric_sessions_admitted"));
         assert!(text.contains("tenant=\"t000\""));
         assert!(text.contains("tenant=\"t002\""));
+    }
+
+    /// The pick the backlog must reproduce: a scan over every tenant,
+    /// least attained among non-empty queues, ties to the lowest index.
+    fn full_scan_pick(backlog: &Backlog, attained: Option<&[f64]>) -> Option<usize> {
+        let mut pick: Option<(f64, usize)> = None;
+        for (t, queue) in backlog.queues.iter().enumerate() {
+            if queue.is_empty() {
+                continue;
+            }
+            let got = attained.map_or(0.0, |v| v[t]);
+            if pick.is_none_or(|(g, pt)| got < g || (got == g && t < pt)) {
+                pick = Some((got, t));
+            }
+        }
+        pick.map(|(_, t)| t)
+    }
+
+    #[test]
+    fn backlog_pick_matches_the_full_scan() {
+        let job = |seq| FrameJob {
+            seq,
+            issued: SimTime::ZERO,
+            arrived: SimTime::ZERO,
+            fill: 0,
+            encode: SimDuration::ZERO,
+            down_bytes: 0,
+        };
+        for seed in 0..64 {
+            let mut rng = derived(seed, "backlog-oracle");
+            let n = rng.gen_range(1..=64usize);
+            let mut backlog = Backlog::new(n, n);
+            let capacity = backlog.ready.capacity();
+            for seq in 0..400 {
+                let t = rng.gen_range(0..n);
+                match rng.gen_range(0..10u32) {
+                    0..=3 => backlog.push_back(t, job(seq)),
+                    4 => backlog.push_front(t, job(seq)),
+                    5..=8 => {
+                        backlog.pop_front(t);
+                    }
+                    _ => while backlog.pop_front(t).is_some() {},
+                }
+                // No window yet, or quarter-second steps: zeros and ties
+                // are common.
+                let attained: Option<Vec<f64>> = (rng.gen_range(0..4u32) > 0).then(|| {
+                    (0..n)
+                        .map(|_| rng.gen_range(0..4u32) as f64 / 4.0)
+                        .collect()
+                });
+                let attained = attained.as_deref();
+                assert_eq!(backlog.pick(attained), full_scan_pick(&backlog, attained));
+                let non_empty: Vec<usize> =
+                    (0..n).filter(|&t| !backlog.queues[t].is_empty()).collect();
+                assert_eq!(backlog.ready, non_empty);
+                assert_eq!(
+                    backlog.ready.capacity(),
+                    capacity,
+                    "the backlog reallocated"
+                );
+            }
+        }
     }
 }

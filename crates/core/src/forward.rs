@@ -15,10 +15,11 @@
 //!
 //! Both directions reuse their scratch buffers across frames: the
 //! forwarder's resolved-command list, encoded command and token stream,
-//! and the receiver's decompressed token stream. Commands are encoded,
-//! cached, expanded and decoded from borrowed slices, and LZ4 keeps one
-//! match table per thread, so a steady-state frame allocates little
-//! beyond its wire bytes and decoded commands. A buffer is kept only
+//! and the receiver's decompressed token stream and decoded-command
+//! list. Commands are encoded, cached, expanded and decoded from
+//! borrowed slices, and LZ4 keeps one match table per thread, so a
+//! steady-state frame allocates little beyond its wire bytes and one
+//! exact-size list of its decoded commands. A buffer is kept only
 //! while its capacity is at most [`SCRATCH_RETAIN_MAX`] (64 KiB, the LZ4
 //! window); a larger one, such as the setup stream's ~1.6 MB token
 //! stream, is dropped after its frame so it does not pin peak heap.
@@ -313,9 +314,10 @@ impl CommandForwarder {
 #[derive(Clone, Debug)]
 pub struct ServiceReceiver {
     cache: CommandCache,
-    /// The current frame's decompressed token stream; empty between
-    /// frames, so a clone copies no scratch.
+    /// The current frame's decompressed token stream and decoded
+    /// commands; empty between frames, so a clone copies no scratch.
     tokens: Vec<u8>,
+    commands: Vec<GlCommand>,
 }
 
 impl Default for ServiceReceiver {
@@ -330,6 +332,7 @@ impl ServiceReceiver {
         ServiceReceiver {
             cache: CommandCache::new(CACHE_CAPACITY),
             tokens: Vec::new(),
+            commands: Vec::new(),
         }
     }
 
@@ -355,22 +358,35 @@ impl ServiceReceiver {
             )));
         }
         let mut tokens = std::mem::take(&mut self.tokens);
+        let mut commands = std::mem::take(&mut self.commands);
         let decoded = match lz4::decompress_into(payload, token_len, &mut tokens) {
             Err(e) => Err(GBoosterError::Codec(e.to_string())),
             Ok(()) if tokens.len() != token_len => Err(GBoosterError::Codec(format!(
                 "token stream {} bytes, header said {token_len}",
                 tokens.len()
             ))),
-            Ok(()) => self.decode_tokens(&tokens),
+            // The scratch list grows as commands decode (never sized
+            // from the unvalidated stream); the caller gets the
+            // commands moved into an exact-size list.
+            Ok(()) => self.decode_tokens(&tokens, &mut commands).map(|()| {
+                let mut exact = Vec::with_capacity(commands.len());
+                exact.append(&mut commands);
+                exact
+            }),
         };
         recycle(&mut tokens);
+        recycle(&mut commands);
         self.tokens = tokens;
+        self.commands = commands;
         decoded
     }
 
-    /// Expands and decodes a decompressed token stream.
-    fn decode_tokens(&mut self, tokens: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
-        let mut commands = Vec::new();
+    /// Expands and decodes a decompressed token stream into `commands`.
+    fn decode_tokens(
+        &mut self,
+        tokens: &[u8],
+        commands: &mut Vec<GlCommand>,
+    ) -> Result<(), GBoosterError> {
         let mut i = 0usize;
         while i < tokens.len() {
             let tag = tokens[i];
@@ -408,12 +424,12 @@ impl ServiceReceiver {
             }
             commands.push(cmd);
         }
-        Ok(commands)
+        Ok(())
     }
 
     /// Scratch capacity, in bytes, this receiver keeps between frames.
     pub fn retained_scratch_bytes(&self) -> usize {
-        self.tokens.capacity()
+        self.tokens.capacity() + self.commands.capacity() * std::mem::size_of::<GlCommand>()
     }
 
     /// Bytes resident in the receiver cache.

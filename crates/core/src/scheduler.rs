@@ -501,14 +501,18 @@ impl<T> ReorderBuffer<T> {
         }
     }
 
+    /// Removes and returns the next result in order, if it has arrived.
+    /// Looping on this drains what [`ReorderBuffer::pop_ready`] would
+    /// return without collecting it into a `Vec`.
+    pub fn pop_next(&mut self) -> Option<T> {
+        let v = self.pending.remove(&self.next)?;
+        self.next += 1;
+        Some(v)
+    }
+
     /// Removes and returns every result now deliverable in order.
     pub fn pop_ready(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(v) = self.pending.remove(&self.next) {
-            out.push(v);
-            self.next += 1;
-        }
-        out
+        std::iter::from_fn(|| self.pop_next()).collect()
     }
 
     /// Results held waiting for a predecessor.
@@ -875,6 +879,13 @@ mod tests {
         assert_eq!(buf.pop_ready(), vec![1, 2]);
         assert_eq!(buf.awaiting(), 3);
         assert_eq!(buf.max_held(), 2);
+        buf.insert(4, 4);
+        assert_eq!(buf.pop_next(), None, "frame 3 still missing");
+        buf.insert(3, 3);
+        assert_eq!(buf.pop_next(), Some(3));
+        assert_eq!(buf.pop_next(), Some(4));
+        assert_eq!(buf.pop_next(), None);
+        assert_eq!(buf.awaiting(), 5);
     }
 
     #[test]

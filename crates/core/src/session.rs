@@ -1167,7 +1167,7 @@ impl OffloadEngine {
             self.dispatcher.complete_for(p.node, self.session_id, p.seq);
         }
         self.arrived.insert(p.seq, ArrivedFrame { p, down });
-        for af in self.arrived.pop_ready() {
+        while let Some(af) = self.arrived.pop_next() {
             self.present_frame(af);
         }
     }

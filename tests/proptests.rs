@@ -2,9 +2,10 @@
 
 use std::sync::Arc;
 
+use gbooster::codec::jpeg::{self, JpegError};
 use gbooster::codec::lru::{content_key, CommandCache};
-use gbooster::codec::turbo::{TurboDecoder, TurboEncoder};
-use gbooster::codec::{jpeg, lz4};
+use gbooster::codec::lz4;
+use gbooster::codec::turbo::{TurboDecoder, TurboEncoder, TurboError};
 use gbooster::core::forward::{ServiceReceiver, CACHE_CAPACITY, SCRATCH_RETAIN_MAX};
 use gbooster::core::scheduler::{Dispatcher, ReorderBuffer, ServiceNode};
 use gbooster::core::GBoosterError;
@@ -706,6 +707,120 @@ proptest! {
             received
         );
     }
+}
+
+// ---- Untrusted bytes through the downlink's image decoders. They may
+// reject any input below, but must never panic on it.
+
+/// A `w`×`h` RGBA image of horizontal ramps.
+fn ramp_image(w: u32, h: u32) -> Vec<u8> {
+    (0..w * h * 4).map(|i| ((i / 4) % w * 6) as u8).collect()
+}
+
+/// Writes a field's little-endian bytes over `data[at..]`.
+fn overwrite(data: &mut [u8], at: usize, field: &[u8]) {
+    data[at..at + field.len()].copy_from_slice(field);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Garbage as it comes, and again behind a header the decoders'
+    /// first checks accept, so their body parsers see it too.
+    #[test]
+    fn image_decoders_never_panic_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        w in 1u16..64,
+        h in 1u16..64,
+        quality in 1u8..=100,
+    ) {
+        let _ = jpeg::decompress(&bytes);
+        let mut framed = [w.to_le_bytes(), h.to_le_bytes()].concat();
+        framed.push(quality);
+        framed.extend_from_slice(&bytes);
+        let _ = jpeg::decompress(&framed);
+
+        let mut dec = TurboDecoder::new(w.into(), h.into());
+        let _ = dec.decode(&bytes);
+        // Keyframe kind, then the garbage from the tile count on.
+        framed[4] = 0;
+        let _ = dec.decode(&framed);
+    }
+
+    /// A valid JPEG with its width, height or quality overwritten.
+    #[test]
+    fn jpeg_decoder_survives_an_overwritten_header_field(
+        w in 1u32..40,
+        h in 1u32..40,
+        field in 0usize..3,
+        value in prop_oneof![any::<u32>(), 0u32..80],
+    ) {
+        let mut data = jpeg::compress(w, h, &ramp_image(w, h), 75);
+        match field {
+            0 => overwrite(&mut data, 0, &(value as u16).to_le_bytes()),
+            1 => overwrite(&mut data, 2, &(value as u16).to_le_bytes()),
+            _ => data[4] = value as u8,
+        }
+        if let Ok((dw, dh, rgba)) = jpeg::decompress(&data) {
+            prop_assert_eq!(rgba.len(), dw as usize * dh as usize * 4);
+        }
+    }
+
+    /// A valid Turbo keyframe with one field of its first tile record
+    /// overwritten: the tile index, the tile length, or the width,
+    /// height or quality of the tile's JPEG.
+    #[test]
+    fn turbo_decoder_survives_an_overwritten_tile_field(
+        w in 17u32..70,
+        h in 17u32..70,
+        field in 0usize..6,
+        value in prop_oneof![any::<u32>(), 0u32..80],
+    ) {
+        let (mut data, _) = TurboEncoder::new(w, h, 80).encode(&ramp_image(w, h));
+        // The first tile record starts after the 7-byte frame header:
+        // u16 tx, u16 ty, u32 len, then the JPEG's u16 width, u16
+        // height and u8 quality.
+        let short = (value as u16).to_le_bytes();
+        match field {
+            0 => overwrite(&mut data, 7, &short),
+            1 => overwrite(&mut data, 9, &short),
+            2 => overwrite(&mut data, 11, &value.to_le_bytes()),
+            3 => overwrite(&mut data, 15, &short),
+            4 => overwrite(&mut data, 17, &short),
+            _ => data[19] = value as u8,
+        }
+        if let Ok(frame) = TurboDecoder::new(w, h).decode(&data) {
+            prop_assert_eq!(frame.len(), (w * h * 4) as usize);
+        }
+    }
+}
+
+/// Header fields whose arithmetic overflows unless checked: a JPEG
+/// header claiming 65535×65535, a JPEG coefficient whose dequantization
+/// overflows `i32`, and a Turbo tile outside the frame.
+#[test]
+fn image_decoders_return_err_on_overflowing_fields() {
+    assert_eq!(
+        jpeg::decompress(&[0xff, 0xff, 0xff, 0xff, 50]),
+        Err(JpegError::Truncated)
+    );
+
+    // 8×8 at quality 50: channel 0's block holds coefficient i32::MIN
+    // (zigzag varint u32::MAX) and ends; the other two channels' blocks
+    // are missing.
+    let mut huge = vec![8, 0, 8, 0, 50, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff];
+    assert_eq!(jpeg::decompress(&huge), Err(JpegError::Truncated));
+    // With them present the block decodes, saturated.
+    huge.extend_from_slice(&[0xff, 0xff]);
+    let (w, h, rgba) = jpeg::decompress(&huge).expect("complete stream decodes");
+    assert_eq!((w, h, rgba.len()), (8, 8, 8 * 8 * 4));
+
+    let (mut data, _) = TurboEncoder::new(32, 32, 90).encode(&ramp_image(32, 32));
+    overwrite(&mut data, 7, &u16::MAX.to_le_bytes());
+    assert_eq!(
+        TurboDecoder::new(32, 32).decode(&data),
+        Err(TurboError::BadTile)
+    );
 }
 
 // ---- Multi-tenant fabric invariants (docs/FABRIC.md). Fabric runs
