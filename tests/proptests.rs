@@ -900,7 +900,7 @@ proptest! {
         sessions in 1usize..80,
         nodes in 1usize..4,
         cap in 0.3f64..1.0,
-        per_node in 1usize..32,
+        per_node in prop_oneof![1usize..32, Just(usize::MAX)],
         seed in 0u64..1_000,
     ) {
         use gbooster::core::fabric::{FabricConfig, SessionManager};
@@ -919,10 +919,10 @@ proptest! {
                     report.load_cap
                 );
                 prop_assert!(
-                    report.admitted <= per_node * nodes,
+                    report.admitted <= per_node.saturating_mul(nodes),
                     "admitted {} past the per-node ceiling {}",
                     report.admitted,
-                    per_node * nodes
+                    per_node.saturating_mul(nodes)
                 );
                 prop_assert!(
                     (report.rejected_rate
