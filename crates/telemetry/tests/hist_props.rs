@@ -1,7 +1,7 @@
-//! Property tests for the telemetry histograms (quantile ordering and
-//! the merge-equals-union law).
+//! Property tests for the telemetry histograms (quantile ordering, the
+//! merge-equals-union law, and interval deltas).
 
-use gbooster_telemetry::Histogram;
+use gbooster_telemetry::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 /// Samples spanning the linear region, the log region, and the clamp.
@@ -102,5 +102,54 @@ proptest! {
         prop_assert_eq!(s.count(), values.len() as u64);
         // Sum wraps at u64 in the store; compare modulo 2^64.
         prop_assert_eq!(s.sum(), sum as u64);
+    }
+
+    #[test]
+    fn delta_and_record_one_match_a_histogram_of_the_later_samples(
+        a in samples(),
+        b in samples(),
+    ) {
+        // `h` sees `a` then `b`; `only_b` and `folded` see just `b`.
+        let h = Histogram::detached();
+        for &v in &a {
+            h.record(v);
+        }
+        let earlier = h.snapshot();
+        let only_b = Histogram::detached();
+        let mut folded = HistogramSnapshot::default();
+        for &v in &b {
+            h.record(v);
+            only_b.record(v);
+            folded.record_one(v);
+        }
+        let delta = h.snapshot().delta(&earlier);
+        let reference = only_b.snapshot();
+        prop_assert_eq!(delta.count(), reference.count());
+        prop_assert_eq!(folded.count(), reference.count());
+        prop_assert_eq!(folded.min(), reference.min());
+        prop_assert_eq!(folded.max(), reference.max());
+        // Sums are left out: the atomic core's sum wraps, while `delta`
+        // and `record_one` saturate.
+        let thresholds = a
+            .iter()
+            .chain(&b)
+            .flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)])
+            .chain([0, u64::MAX]);
+        for x in thresholds {
+            prop_assert_eq!(delta.count_over(x), reference.count_over(x), "delta, threshold {}", x);
+            prop_assert_eq!(folded.count_over(x), reference.count_over(x), "record_one, threshold {}", x);
+        }
+        // The delta's extremes are bucket bounds, so its quantiles may
+        // sit higher than the exact histogram's, but never past the
+        // bucket the exact quantile is in.
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let (dq, rq) = (delta.quantile(q), reference.quantile(q));
+            prop_assert!(dq >= rq, "q{} delta {} below exact {}", q, dq, rq);
+            prop_assert_eq!(
+                reference.count_over(dq),
+                reference.count_over(rq),
+                "q{} delta {} leaves the bucket of {}", q, dq, rq
+            );
+        }
     }
 }
