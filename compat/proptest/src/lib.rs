@@ -277,7 +277,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted element-count specifications for [`vec`].
+    /// Accepted element-count specifications for [`vec()`].
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -306,7 +306,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

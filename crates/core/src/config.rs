@@ -114,10 +114,10 @@ impl Default for OffloadConfig {
 }
 
 /// Live-ops layer tuning: which SLO objectives are evaluated during the
-/// run, how their alerts dwell, and how incidents correlate. The
-/// defaults are scaled to the simulator's seconds-long sessions (the
-/// Google-SRE structure with sub-second windows) and sit far enough
-/// above healthy behavior that a fault-free run raises nothing.
+/// run and how their alerts dwell. The defaults are scaled to the
+/// simulator's seconds-long sessions (the Google-SRE structure with
+/// sub-second windows) and sit far enough above healthy behavior that
+/// a fault-free run raises nothing.
 #[derive(Clone, Debug)]
 pub struct OpsConfig {
     /// Master switch: `false` runs the session with no ops layer at
@@ -127,19 +127,6 @@ pub struct OpsConfig {
     pub objectives: Vec<SloObjective>,
     /// Dwell/hysteresis shared by every objective's alert machine.
     pub alert: AlertConfig,
-    /// z-score bound for the anomaly detectors on objective-less
-    /// streams (per-interface power draw).
-    pub anomaly_z: f64,
-    /// Incident timeline lookback before the trigger, in milliseconds.
-    pub incident_lookback_ms: u64,
-    /// Minimum incident open time before quiescence closes it, in
-    /// milliseconds.
-    pub incident_min_open_ms: u64,
-    /// Recording rules: persist each objective's burn-rate evaluation
-    /// into an embedded [`gbooster_telemetry::Tsdb`] so postmortem
-    /// queries reproduce the alerting inputs exactly. Off by default —
-    /// the extra per-evaluation storage is opt-in.
-    pub record_rules: bool,
 }
 
 impl Default for OpsConfig {
@@ -194,10 +181,6 @@ impl Default for OpsConfig {
                 },
             ],
             alert: AlertConfig::default(),
-            anomaly_z: 5.0,
-            incident_lookback_ms: 500,
-            incident_min_open_ms: 500,
-            record_rules: false,
         }
     }
 }
@@ -525,12 +508,6 @@ impl SessionConfig {
                 if let Err(e) = obj.validate() {
                     return Err(GBoosterError::Config(format!("ops objective {e}")));
                 }
-            }
-            if !off.ops.anomaly_z.is_finite() || off.ops.anomaly_z <= 0.0 {
-                return Err(GBoosterError::Config(format!(
-                    "ops anomaly_z must be finite and positive, got {}",
-                    off.ops.anomaly_z
-                )));
             }
             for dev in &off.service_devices {
                 if dev.class == DeviceClass::Phone {

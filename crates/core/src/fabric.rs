@@ -109,7 +109,7 @@ pub enum CacheMode {
     Partitioned,
     /// Sessions of the same title share the immutable setup segment
     /// (shaders, static textures): one upload per title, later tenants
-    /// attach for [`SHARED_ATTACH_BYTES`].
+    /// attach for `SHARED_ATTACH_BYTES`.
     SharedSegments,
 }
 
@@ -1036,20 +1036,17 @@ impl FabricObserver {
         offsets_ms
     }
 
-    /// Final scrape at the realized horizon, so instant queries at the
-    /// run's end answer with the closing report state.
-    fn close(
-        mut self,
-        end: SimTime,
-        pool: &TelemetrySnapshot,
-        tenants: &[(u32, TelemetrySnapshot)],
-    ) -> (TailSampler, Tsdb) {
-        self.tsdb.ingest(end, &[], pool);
-        for (tenant, snap) in tenants {
-            let label = &self.tenant_labels[*tenant as usize];
-            self.tsdb.ingest(end, &[("tenant", label)], snap);
+    /// Copies the pool and every admitted tenant registry into the
+    /// TSDB at `at`.
+    fn scrape(&mut self, at: SimTime, pool: &Registry, tenants: &[TenantState], admitted: &[bool]) {
+        pool.scrape_into(&mut self.tsdb, at, &[]);
+        for (i, st) in tenants.iter().enumerate() {
+            if admitted[i] {
+                let label = &self.tenant_labels[i];
+                st.registry
+                    .scrape_into(&mut self.tsdb, at, &[("tenant", label)]);
+            }
         }
-        (self.sampler, self.tsdb)
     }
 }
 
@@ -1982,14 +1979,7 @@ impl<'a> Fabric<'a> {
     fn on_scrape(&mut self, t_us: u64) {
         let now = SimTime::from_micros(t_us);
         let o = self.obs.as_mut().expect("scrape events need an observer");
-        self.pool.scrape_into(&mut o.tsdb, now, &[]);
-        for (i, st) in self.tenants.iter().enumerate() {
-            if self.admission.admitted[i] {
-                let label = &o.tenant_labels[i];
-                st.registry
-                    .scrape_into(&mut o.tsdb, now, &[("tenant", label)]);
-            }
-        }
+        o.scrape(now, &self.pool, &self.tenants, &self.admission.admitted);
         let next = t_us + SCRAPE_INTERVAL.as_micros();
         if next <= self.cfg.duration.as_micros() {
             self.schedule(next, EV_SCRAPE, 0, 0);
@@ -2084,10 +2074,12 @@ impl<'a> Fabric<'a> {
             .map_or(Vec::new(), |o| o.publish(&self.pool));
         let telemetry = self.pool.snapshot();
         let (sampler, tsdb) = match self.obs {
-            Some(o) => {
+            Some(mut o) => {
+                // A last scrape at the realized horizon, so instant
+                // queries at the run's end answer with the report state.
                 let end = SimTime::from_micros(self.end_us);
-                let (s, db) = o.close(end, &telemetry, &tenant_telemetry);
-                (Some(s), Some(db))
+                o.scrape(end, &self.pool, &self.tenants, &self.admission.admitted);
+                (Some(o.sampler), Some(o.tsdb))
             }
             None => (None, None),
         };

@@ -3,7 +3,8 @@
 //! [`OpsRuntime`] is the glue between the session engine and the
 //! telemetry crate's streaming-ops primitives: it owns the shared
 //! [`OpsLog`] journal, feeds the windowed metric streams once per
-//! presented frame, evaluates every configured [`SloObjective`] the
+//! presented frame, evaluates every configured
+//! [`SloObjective`](gbooster_telemetry::SloObjective) the
 //! multi-window burn-rate way, steps the per-objective
 //! [`AlertMachine`]s, runs [`AnomalyDetector`]s over the streams that
 //! have no hard objective (per-interface power draw), and correlates
@@ -25,8 +26,8 @@
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::{
     names, AlertMachine, AlertSummary, AlertTransition, AnomalyDetector, AttributionLog, BurnState,
-    Counter, Fault, IncidentConfig, IncidentManager, OpsEventKind, OpsLog, OpsReport, Registry,
-    SloWindowState, Tsdb, WindowedHistogram,
+    Counter, Fault, IncidentManager, OpsEventKind, OpsLog, OpsReport, Registry, SloWindowState,
+    WindowedHistogram,
 };
 
 use crate::config::OpsConfig;
@@ -42,12 +43,11 @@ const SLOT_RETAIN: usize = 64;
 /// EWMA smoothing factor for the power anomaly detectors.
 const ANOMALY_ALPHA: f64 = 0.1;
 
+/// z-score bound for the power anomaly detectors.
+const ANOMALY_Z: f64 = 5.0;
+
 /// Samples a power anomaly detector observes before it may flag.
 const ANOMALY_WARMUP: u64 = 30;
-
-/// TSDB ring capacity for the opt-in recording rules: one point per
-/// evaluation (per presented frame), so cover several seconds at 60 fps.
-const RULE_SLOTS: usize = 512;
 
 /// Severity of an SLO-burn-triggered incident (the floor of the ranks).
 const SLO_BURN_SEVERITY: u8 = 1;
@@ -107,10 +107,6 @@ pub struct OpsRuntime {
     prev_bt_j: f64,
     last_present: Option<SimTime>,
     anomalies: u64,
-    /// Opt-in recording rules ([`OpsConfig::record_rules`]): every
-    /// burn-rate evaluation is persisted here, so postmortem queries
-    /// return the exact floats the alert machines saw.
-    rules: Option<Tsdb>,
 }
 
 impl OpsRuntime {
@@ -133,10 +129,7 @@ impl OpsRuntime {
         Some(OpsRuntime {
             log: OpsLog::new(),
             objectives,
-            incidents: IncidentManager::new(IncidentConfig {
-                lookback: SimDuration::from_millis(cfg.incident_lookback_ms),
-                min_open: SimDuration::from_millis(cfg.incident_min_open_ms),
-            }),
+            incidents: IncidentManager::default(),
             attr,
             win_latency: registry.windowed(names::ops::WIN_FRAME_LATENCY, SLOT_WIDTH, SLOT_RETAIN),
             win_interval: registry.windowed(
@@ -150,13 +143,13 @@ impl OpsRuntime {
             det_wifi: AnomalyDetector::new(
                 names::ops::WIN_WIFI_POWER,
                 ANOMALY_ALPHA,
-                cfg.anomaly_z,
+                ANOMALY_Z,
                 ANOMALY_WARMUP,
             ),
             det_bt: AnomalyDetector::new(
                 names::ops::WIN_BT_POWER,
                 ANOMALY_ALPHA,
-                cfg.anomaly_z,
+                ANOMALY_Z,
                 ANOMALY_WARMUP,
             ),
             c_events: registry.counter(names::ops::EVENTS),
@@ -173,14 +166,7 @@ impl OpsRuntime {
             prev_bt_j: 0.0,
             last_present: None,
             anomalies: 0,
-            rules: cfg.record_rules.then(|| Tsdb::new(RULE_SLOTS)),
         })
-    }
-
-    /// The recording-rule TSDB, when [`OpsConfig::record_rules`] was
-    /// set. Query it with [`gbooster_telemetry::query::eval`].
-    pub fn tsdb(&self) -> Option<&Tsdb> {
-        self.rules.as_ref()
     }
 
     /// A handle to the shared event journal, for the other producers
@@ -255,11 +241,6 @@ impl OpsRuntime {
             .iter()
             .map(|o| o.objective.evaluate(now, &o.stream))
             .collect();
-        if let Some(db) = self.rules.as_mut() {
-            for (o, burn) in self.objectives.iter().zip(&burns) {
-                db.record_burn(now, o.objective.name, burn, &[]);
-            }
-        }
         for (o, burn) in self.objectives.iter_mut().zip(&burns) {
             let Some(transition) = o.alert.step(now, burn.breaching) else {
                 continue;
@@ -484,46 +465,6 @@ mod tests {
             faults,
             vec!["fallback_engaged", "node_loss", "node_rejoined"]
         );
-    }
-
-    #[test]
-    fn recording_rules_reproduce_burn_numbers_exactly() {
-        let registry = Registry::new();
-        let cfg = OpsConfig {
-            record_rules: true,
-            ..OpsConfig::default()
-        };
-        let mut ops =
-            OpsRuntime::new(&cfg, &registry, AttributionLog::new()).expect("enabled by default");
-        assert!(ops.tsdb().is_some(), "record_rules builds the TSDB");
-        let mut t = SimTime::ZERO;
-        for i in 0..120u64 {
-            t += SimDuration::from_millis(25);
-            let lat = if i < 60 { 30 } else { 200 };
-            ops.on_present(t, SimDuration::from_millis(lat), 0.0, 0.0);
-            ops.evaluate(t, true);
-        }
-        // Every rule series' newest point must be bit-identical to a
-        // direct re-evaluation of the objective at the same instant —
-        // the rules store the alerting inputs, they don't recompute.
-        let db = ops.tsdb().expect("record_rules on").clone();
-        for o in &ops.objectives {
-            let direct = o.objective.evaluate(t, &o.stream);
-            let name = o.objective.name;
-            for (suffix, want) in [
-                ("fast_burn", direct.fast_burn),
-                ("slow_burn", direct.slow_burn),
-                ("fast_count", direct.fast_count as f64),
-                ("slow_count", direct.slow_count as f64),
-            ] {
-                let expr = format!("{name}.{suffix}");
-                let rows = gbooster_telemetry::query::eval(&db, &expr, t).expect("query parses");
-                assert_eq!(rows, vec![(expr, want)], "objective {name}");
-            }
-        }
-        // Off by default: no TSDB, no storage.
-        let default_ops = runtime();
-        assert!(default_ops.tsdb().is_none());
     }
 
     #[test]

@@ -494,7 +494,7 @@ const MIGRATION_CHANNEL_SHARE: f64 = 0.5;
 /// One-way transfer time for a live-migration state snapshot.
 ///
 /// Same 802.11n link as [`fabric_link_secs`], but the stream is paced
-/// to [`MIGRATION_CHANNEL_SHARE`] of the channel: a migration is a
+/// to `MIGRATION_CHANNEL_SHARE` of the channel: a migration is a
 /// bulk background flow, and starving the per-frame uplink to finish
 /// the checkpoint sooner would cause exactly the presentation gap the
 /// cutover protocol promises not to have.

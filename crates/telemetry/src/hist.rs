@@ -1,14 +1,16 @@
 //! Fixed-bucket latency histograms.
 //!
 //! Values (microseconds by convention, but any `u64` works) land in
-//! log-linear buckets: exact below [`LINEAR_CUTOFF`], then 16 linear
-//! sub-buckets per power of two. Bucketing is a pure function of the
-//! value, so merging two histograms bucket-wise is *exactly* equivalent
-//! to recording the union of their samples — the property the test
-//! suite checks.
+//! log-linear buckets: exact below 128, then 16 linear sub-buckets per
+//! power of two. Bucketing is a pure function of the value, so merging
+//! two histograms bucket-wise is *exactly* equivalent to recording the
+//! union of their samples — the property the test suite checks.
 //!
 //! Recording is a single atomic increment plus two atomic min/max
-//! updates; no locks anywhere on the hot path.
+//! updates; no locks anywhere on the hot path. Every copy of a
+//! histogram — a snapshot, a window slot, a stored TSDB point — is a
+//! [`HistogramSnapshot`], which keeps only the non-empty buckets: a
+//! latency stream touches a few dozen of the [`BUCKETS`] slots.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,9 +76,9 @@ pub struct HistogramCore {
     ex_tag: AtomicU64,
     ex_has: AtomicU64,
     /// Lowest / highest bucket index touched so far (`u64::MAX` / `0`
-    /// while empty) — sparse snapshots walk only `[lo, hi]` instead of
-    /// all [`BUCKETS`] slots, which is what keeps per-interval scrapes
-    /// of hundreds of registries cheap.
+    /// while empty) — snapshots walk only `[lo, hi]` instead of all
+    /// [`BUCKETS`] slots, which is what keeps per-interval scrapes of
+    /// hundreds of registries cheap.
     lo_bucket: AtomicU64,
     hi_bucket: AtomicU64,
 }
@@ -133,13 +135,8 @@ impl HistogramCore {
         }
     }
 
-    /// Takes a point-in-time copy in sparse form — the scrape-loop
-    /// variant of [`HistogramCore::snapshot`]. The dense snapshot
-    /// clones all [`BUCKETS`] slots (~8 KB) even though a latency
-    /// stream touches a few dozen of them; this collects only the
-    /// non-empty buckets, so scraping every histogram of every
-    /// registry each interval stays cheap.
-    pub fn snapshot_sparse(&self) -> SparseHistogram {
+    /// Takes a point-in-time copy.
+    pub fn snapshot(&self) -> HistogramSnapshot {
         let mut entries = Vec::new();
         let lo = self.lo_bucket.load(Ordering::Relaxed);
         if lo != u64::MAX {
@@ -157,31 +154,8 @@ impl HistogramCore {
                 }
             }
         }
-        SparseHistogram {
-            entries,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            exemplar: if self.ex_has.load(Ordering::Relaxed) != 0 {
-                Some(Exemplar {
-                    value: self.ex_value.load(Ordering::Relaxed),
-                    tag: self.ex_tag.load(Ordering::Relaxed),
-                })
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            entries,
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
@@ -221,10 +195,14 @@ pub struct Exemplar {
     pub tag: u64,
 }
 
-/// An immutable copy of a histogram's state, with quantile queries.
+/// A copy of a histogram's state, with quantile queries.
+///
+/// Only the non-empty buckets are kept, as `(bucket index, count)`
+/// pairs in ascending index order; an empty bucket adds nothing to any
+/// result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
+    entries: Vec<(u32, u64)>,
     count: u64,
     sum: u64,
     max: u64,
@@ -235,7 +213,7 @@ pub struct HistogramSnapshot {
 impl Default for HistogramSnapshot {
     fn default() -> Self {
         HistogramSnapshot {
-            buckets: vec![0; BUCKETS],
+            entries: Vec::new(),
             count: 0,
             sum: 0,
             max: 0,
@@ -301,10 +279,10 @@ impl HistogramSnapshot {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for &(idx, c) in &self.entries {
             seen += c;
             if seen >= rank {
-                return bucket_upper(idx).clamp(self.min, self.max);
+                return bucket_upper(idx as usize).clamp(self.min, self.max);
             }
         }
         self.max
@@ -329,10 +307,8 @@ impl HistogramSnapshot {
     /// twin of [`HistogramCore::record`], for single-owner state such as
     /// the slots of a [`WindowedHistogramCore`]).
     pub fn record_one(&mut self, v: u64) {
-        if self.buckets.len() < BUCKETS {
-            self.buckets.resize(BUCKETS, 0);
-        }
-        self.buckets[bucket_index(v)] += 1;
+        let idx = u32::try_from(bucket_index(v)).expect("bucket index fits u32");
+        *self.bucket_mut(idx) += 1;
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
@@ -347,7 +323,8 @@ impl HistogramSnapshot {
     /// merge-consistent like the quantiles.
     pub fn count_over(&self, threshold: u64) -> u64 {
         let cut = bucket_index(threshold);
-        self.buckets.iter().skip(cut + 1).sum()
+        let past = self.entries.partition_point(|&(i, _)| i as usize <= cut);
+        self.entries[past..].iter().map(|&(_, c)| c).sum()
     }
 
     /// Merges `other` into `self`, bucket-wise. Because bucketing is a
@@ -356,16 +333,12 @@ impl HistogramSnapshot {
     /// the merged snapshot equal the quantiles of a single combined
     /// recording, not just "within bucket resolution".
     ///
-    /// Robust against snapshots from a different bucket layout (the
-    /// longer layout wins) and against `count`/`sum` overflow
-    /// (saturating), so merging a corrupted or future-versioned
-    /// snapshot can never panic.
+    /// Bucket counts, `count` and `sum` add saturating, so merging a
+    /// corrupted snapshot can never panic.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
+        for &(i, c) in &other.entries {
+            let slot = self.bucket_mut(i);
+            *slot = slot.saturating_add(c);
         }
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
@@ -378,25 +351,6 @@ impl HistogramSnapshot {
             (Some(a), Some(b)) => Some(if b.value > a.value { b } else { a }),
             (a, b) => a.or(b),
         };
-    }
-
-    /// The sparse form of this snapshot (see [`SparseHistogram`]).
-    #[must_use]
-    pub fn to_sparse(&self) -> SparseHistogram {
-        SparseHistogram {
-            entries: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (u32::try_from(i).expect("bucket index fits u32"), c))
-                .collect(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            min: self.min,
-            exemplar: self.exemplar,
-        }
     }
 
     /// The distribution of the samples recorded between `earlier` and
@@ -418,28 +372,26 @@ impl HistogramSnapshot {
     /// rather than panicking.
     #[must_use]
     pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; self.buckets.len().max(earlier.buckets.len())];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            let new = self.buckets.get(i).copied().unwrap_or(0);
-            let old = earlier.buckets.get(i).copied().unwrap_or(0);
-            *slot = new.saturating_sub(old);
-        }
+        let entries: Vec<(u32, u64)> = self
+            .entries
+            .iter()
+            .map(|&(i, c)| (i, c.saturating_sub(earlier.bucket(i))))
+            .filter(|&(_, c)| c > 0)
+            .collect();
         let count = self.count.saturating_sub(earlier.count);
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        let (min, max) = match (first, last, count) {
-            (Some(f), Some(l), c) if c > 0 => (
-                if f < LINEAR_CUTOFF as usize {
-                    f as u64
+        let (min, max) = match (entries.first(), entries.last()) {
+            (Some(&(f, _)), Some(&(l, _))) if count > 0 => (
+                if u64::from(f) < LINEAR_CUTOFF {
+                    u64::from(f)
                 } else {
-                    bucket_upper(f - 1).saturating_add(1)
+                    bucket_upper(f as usize - 1).saturating_add(1)
                 },
-                bucket_upper(l).min(self.max),
+                bucket_upper(l as usize).min(self.max),
             ),
             _ => (u64::MAX, 0),
         };
         HistogramSnapshot {
-            buckets,
+            entries,
             count,
             sum: self.sum.saturating_sub(earlier.sum),
             max,
@@ -447,59 +399,25 @@ impl HistogramSnapshot {
             exemplar: None,
         }
     }
-}
 
-/// A histogram copy holding only the non-empty buckets, as
-/// `(bucket index, count)` pairs in ascending index order.
-///
-/// This is the storage form the TSDB rings keep: the dense
-/// [`HistogramSnapshot`] always carries all [`BUCKETS`] slots (~8 KB)
-/// while a real latency stream populates a few dozen of them, and the
-/// scrape loop takes one copy per histogram per registry per
-/// interval. [`SparseHistogram::to_snapshot`] restores the dense form
-/// bucket-for-bucket, so query-time quantiles and window deltas stay
-/// exact.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SparseHistogram {
-    entries: Vec<(u32, u64)>,
-    count: u64,
-    sum: u64,
-    max: u64,
-    min: u64,
-    exemplar: Option<Exemplar>,
-}
-
-impl SparseHistogram {
-    /// Samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
+    /// The count of bucket `idx` (0 when it has no entry).
+    fn bucket(&self, idx: u32) -> u64 {
+        self.entries
+            .binary_search_by_key(&idx, |&(i, _)| i)
+            .map_or(0, |pos| self.entries[pos].1)
     }
 
-    /// Non-empty `(bucket index, count)` pairs, index ascending.
-    #[must_use]
-    pub fn entries(&self) -> &[(u32, u64)] {
-        &self.entries
-    }
-
-    /// Expands back to the dense form, reproducing what
-    /// [`HistogramCore::snapshot`] would have returned at the same
-    /// instant — same bucket layout, counts, extremes, and exemplar.
-    #[must_use]
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        let len = BUCKETS.max(self.entries.last().map_or(0, |&(i, _)| i as usize + 1));
-        let mut buckets = vec![0u64; len];
-        for &(i, c) in &self.entries {
-            buckets[i as usize] = c;
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            min: self.min,
-            exemplar: self.exemplar,
-        }
+    /// The count of bucket `idx`, inserted at zero in index order when
+    /// it has no entry yet. Callers add at least one to it.
+    fn bucket_mut(&mut self, idx: u32) -> &mut u64 {
+        let pos = match self.entries.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.entries.insert(pos, (idx, 0));
+                pos
+            }
+        };
+        &mut self.entries[pos].1
     }
 }
 
@@ -595,7 +513,7 @@ impl WindowedHistogramCore {
 
     /// `(count, count_over(threshold))` of [`Self::window`]`(now,
     /// window)`, read straight off the slots instead of merging them
-    /// into a dense snapshot. A slot whose largest sample is at or
+    /// into one snapshot. A slot whose largest sample is at or
     /// below `threshold` has nothing past the threshold's bucket, so its
     /// buckets are walked only when its `max` exceeds the threshold
     /// (slots are filled only through
@@ -648,25 +566,6 @@ mod tests {
             last = idx;
         }
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn sparse_snapshot_round_trips_exactly() {
-        let h = HistogramCore::new();
-        for v in [0u64, 1, 17, 127, 1_000, 65_000, u64::MAX] {
-            h.record_tagged(v, v ^ 0xdead);
-        }
-        let dense = h.snapshot();
-        let sparse = h.snapshot_sparse();
-        assert_eq!(sparse.to_snapshot(), dense);
-        assert_eq!(dense.to_sparse(), sparse);
-        assert_eq!(sparse.count(), dense.count());
-        assert!(sparse.entries().len() < BUCKETS / 10);
-        assert!(sparse.entries().windows(2).all(|w| w[0].0 < w[1].0));
-        // An empty histogram round-trips too (min stays at the
-        // "nothing recorded" sentinel).
-        let empty = HistogramCore::new();
-        assert_eq!(empty.snapshot_sparse().to_snapshot(), empty.snapshot());
     }
 
     #[test]
@@ -851,29 +750,28 @@ mod tests {
     }
 
     #[test]
-    fn merge_tolerates_foreign_bucket_layouts_and_saturates() {
-        let mut short = HistogramSnapshot {
-            buckets: vec![1, 2],
+    fn merge_saturates_count_and_sum() {
+        let mut a = HistogramSnapshot {
+            entries: vec![(0, 1), (1, 2)],
             count: 3,
             sum: u64::MAX - 1,
             max: 1,
             min: 0,
             exemplar: None,
         };
-        let long = HistogramSnapshot {
-            buckets: vec![0, 0, 0, 5],
+        let b = HistogramSnapshot {
+            entries: vec![(3, 5)],
             count: 5,
             sum: 10,
             max: 9,
             min: 2,
             exemplar: None,
         };
-        short.merge(&long);
-        assert_eq!(short.buckets, vec![1, 2, 0, 5]);
-        assert_eq!(short.count, 8);
-        assert_eq!(short.sum, u64::MAX, "sum must saturate, not wrap");
-        assert_eq!(short.max(), 9);
-        assert_eq!(short.min(), 0);
+        a.merge(&b);
+        assert_eq!(a.count, 8);
+        assert_eq!(a.sum, u64::MAX, "sum must saturate, not wrap");
+        assert_eq!(a.max(), 9);
+        assert_eq!(a.min(), 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`Registry`] — a lock-cheap store of named counters, gauges, and
 //!   fixed-bucket latency histograms (p50/p90/p99/max). Registration
 //!   takes a mutex once; the returned handles are plain atomics, so
-//!   per-frame instrumentation costs an atomic add.
+//!   per-frame instrumentation costs an atomic add. Every copy of a
+//!   histogram is a [`HistogramSnapshot`], which keeps only its
+//!   non-empty buckets.
 //! * [`trace`] — per-frame span trees ([`SpanNode`]) recording a
 //!   frame's journey through intercept → resolve → cache → LZ4 →
 //!   uplink → dispatch → render → encode → downlink → decode → vsync,
@@ -52,6 +54,14 @@
 //!   transitions, and flight dumps into causally-ordered incident
 //!   records with postmortem rendering ([`IncidentManager`],
 //!   [`OpsReport`]).
+//!
+//! The multi-tenant fabric's observer keeps history across tenants:
+//!
+//! * [`sample`] — tail-sampled trace retention under per-tenant byte
+//!   budgets ([`TailSampler`]).
+//! * [`tsdb`] — a ring-buffer store of scraped registry points
+//!   ([`Tsdb`]), with one write path for scalars and histograms.
+//! * [`query`] — PromQL-lite queries over the [`Tsdb`].
 //!
 //! One layer deliberately breaks the sim-time rule: [`prof`] /
 //! [`flame`] profile the **simulator's own wall-clock cost** — scoped
@@ -122,7 +132,7 @@ pub use export::{
 };
 pub use flame::{collapsed_stack, parse_collapsed, CollapsedLine};
 pub use flight::{Fault, FlightDump, FlightRecorder};
-pub use hist::{Exemplar, HistogramSnapshot, SparseHistogram};
+pub use hist::{Exemplar, HistogramSnapshot};
 pub use incident::{
     AlertSummary, Incident, IncidentConfig, IncidentManager, OpsEvent, OpsEventKind, OpsLog,
     OpsReport, SloWindowState,

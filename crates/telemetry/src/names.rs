@@ -8,7 +8,7 @@
 //! The full schema is documented in `docs/OBSERVABILITY.md`.
 
 /// Per-frame pipeline stage histograms (µs) and span names, in pipeline
-/// order. The root span of every frame is [`FRAME`].
+/// order. The root span of every frame is [`FRAME`](stage::FRAME).
 pub mod stage {
     /// Root span covering the frame's whole journey.
     pub const FRAME: &str = "frame";

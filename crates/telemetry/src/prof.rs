@@ -10,12 +10,12 @@
 //! Three pieces:
 //!
 //! * [`HostProfiler`] — an explicit-scope-stack profiler. Scopes are
-//!   opened with [`enter`] (or the [`prof_scope!`] macro) using names
-//!   from [`crate::names::host`]; the RAII guard aggregates elapsed
-//!   wall time into the *collapsed call path* (the full stack of open
-//!   scope names), so a snapshot can be rendered as a top-N cost table
-//!   ([`HostProfileSnapshot::render_top`]) or exported as
-//!   flamegraph.pl-compatible collapsed-stack text
+//!   opened with [`enter`] (or the [`prof_scope!`](crate::prof_scope)
+//!   macro) using names from [`crate::names::host`]; the RAII guard
+//!   aggregates elapsed wall time into the *collapsed call path* (the
+//!   full stack of open scope names), so a snapshot can be rendered as
+//!   a top-N cost table ([`HostProfileSnapshot::render_top`]) or
+//!   exported as flamegraph.pl-compatible collapsed-stack text
 //!   ([`crate::flame::collapsed_stack`]).
 //! * A **counting global allocator**, compiled only under the
 //!   `host-prof` feature: a zero-overhead-when-absent wrapper around
@@ -422,9 +422,9 @@ impl Drop for AllocScopeGuard {
 
 /// Attributes the enclosing block's allocations (not its wall time) to
 /// `$name`. Use on per-command paths called millions of times per
-/// session, where [`prof_scope!`]'s clock reads would distort the
-/// measurement; the scope's heap churn surfaces in the snapshot as a
-/// zero-wall-time path. Use a name that no timed scope shares, and at
+/// session, where [`prof_scope!`](crate::prof_scope)'s clock reads
+/// would distort the measurement; the scope's heap churn surfaces in
+/// the snapshot as a zero-wall-time path. Use a name that no timed scope shares, and at
 /// most one per block (the expansion declares a static).
 #[macro_export]
 macro_rules! prof_alloc_scope {

@@ -31,7 +31,7 @@
 //! label); each evaluates independently and the result is a
 //! `(series display name, value)` list in deterministic order.
 
-use crate::hist::SparseHistogram;
+use crate::hist::HistogramSnapshot;
 use crate::tsdb::{Series, SeriesData, Tsdb};
 use gbooster_sim::time::SimTime;
 
@@ -182,18 +182,12 @@ fn range_eval(
                 }
             }
             (SeriesData::Hist(ring), RangeFn::Quantile(q)) => {
-                let win: Vec<&(u64, SparseHistogram)> = ring
+                let win: Vec<&(u64, HistogramSnapshot)> = ring
                     .iter()
                     .filter(|(ts, _)| *ts > t_lo && *ts <= t_hi)
                     .collect();
                 if win.len() >= 2 {
-                    // Dense restoration happens only here, at query
-                    // time — the delta over the window's endpoints is
-                    // still bucket-exact.
-                    let d = win[win.len() - 1]
-                        .1
-                        .to_snapshot()
-                        .delta(&win[0].1.to_snapshot());
+                    let d = win[win.len() - 1].1.delta(&win[0].1);
                     #[allow(clippy::cast_precision_loss)]
                     if d.count() > 0 {
                         Some(d.quantile(q) as f64)
@@ -325,7 +319,8 @@ fn parse_duration_us(s: &str) -> Result<u64, QueryError> {
         .trim()
         .parse()
         .map_err(|_| QueryError::Parse(format!("bad duration number: {s}")))?;
-    Ok(n * mult)
+    n.checked_mul(mult)
+        .ok_or_else(|| QueryError::Parse(format!("duration out of range: {s}")))
 }
 
 /// Canonical display name: `name{k="v",...}` with sorted labels, bare
@@ -368,10 +363,10 @@ mod tests {
         let reg = crate::Registry::new();
         let h = reg.histogram("lat");
         h.record(1_000);
-        db.record_hist(t(100), "lat", &[], &h.snapshot());
+        db.record_hist(t(100), "lat", &[], h.snapshot());
         h.record(5_000);
         h.record(5_000);
-        db.record_hist(t(600), "lat", &[], &h.snapshot());
+        db.record_hist(t(600), "lat", &[], h.snapshot());
         db
     }
 
@@ -446,6 +441,16 @@ mod tests {
             eval(&db, "frames total", t(0)),
             Err(QueryError::Parse(_))
         ));
+        // Durations whose microsecond count overflows u64.
+        for expr in [
+            "rate(m[99999999999999s])",
+            "rate(m[18446744073709551615ms])",
+        ] {
+            assert!(
+                matches!(eval(&db, expr, t(0)), Err(QueryError::Parse(_))),
+                "{expr}"
+            );
+        }
         assert!(matches!(
             eval(&db, "quantile(0.5, frames.total[1s])", t(700)),
             Err(QueryError::Kind(_))

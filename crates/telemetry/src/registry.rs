@@ -104,12 +104,6 @@ impl Histogram {
     pub fn snapshot(&self) -> crate::hist::HistogramSnapshot {
         self.0.snapshot()
     }
-
-    /// Takes a point-in-time copy in sparse form (only the non-empty
-    /// buckets) — what the TSDB scrape path stores.
-    pub fn snapshot_sparse(&self) -> crate::hist::SparseHistogram {
-        self.0.snapshot_sparse()
-    }
 }
 
 /// A handle to a registered sliding-window histogram: a time-slotted
@@ -167,16 +161,6 @@ impl WindowedHistogram {
             .expect("windowed histogram poisoned")
             .merged()
             .clone()
-    }
-
-    /// The all-time merged view in sparse form, skipping the dense
-    /// clone [`WindowedHistogram::merged`] pays.
-    pub fn merged_sparse(&self) -> crate::hist::SparseHistogram {
-        self.0
-            .lock()
-            .expect("windowed histogram poisoned")
-            .merged()
-            .to_sparse()
     }
 }
 
@@ -300,12 +284,11 @@ impl Registry {
     }
 
     /// Streams every instrument straight into `db` at `at` under
-    /// `labels` — the scrape-loop fast path. Ingesting via
-    /// [`Registry::snapshot`] would materialize three `BTreeMap`s and
-    /// re-own every metric name on every scrape; this walks the
-    /// instruments in place (same iteration order, so the resulting
-    /// series content is identical) and hands each histogram over in
-    /// sparse form, never materializing a dense snapshot.
+    /// `labels`: counters and gauges as scalar points, histograms and
+    /// windowed streams' merged views as cumulative snapshots. Going
+    /// through [`Registry::snapshot`] would materialize three
+    /// `BTreeMap`s and re-own every metric name on every scrape; this
+    /// walks the instruments in place.
     pub fn scrape_into(
         &self,
         db: &mut crate::tsdb::Tsdb,
@@ -338,7 +321,7 @@ impl Registry {
             .expect("histogram registry poisoned")
             .iter()
         {
-            db.record_hist_sparse(at, k, labels, v.snapshot_sparse());
+            db.record_hist(at, k, labels, v.snapshot());
         }
         for (&k, v) in self
             .inner
@@ -347,7 +330,7 @@ impl Registry {
             .expect("windowed registry poisoned")
             .iter()
         {
-            db.record_hist_sparse(at, k, labels, v.merged_sparse());
+            db.record_hist(at, k, labels, v.merged());
         }
     }
 }

@@ -1,23 +1,23 @@
 //! Embedded ring-buffer time-series database.
 //!
-//! The windowed streams answer "the distribution over the last N ms"
-//! and then forget; everything older than the retention window is
-//! gone by the time an operator asks "what was t042's p99 during the
-//! drain at t=8 s?". The [`Tsdb`] keeps that history: a fixed number
-//! of slots per series, fed from periodic [`TelemetrySnapshot`]
-//! scrapes (pool-level and per-tenant with a `tenant="tNNN"` label)
-//! and from recording rules that persist the burn-rate inputs
-//! [`crate::slo::SloObjective::evaluate`] computes.
+//! A live registry holds only running totals, so at the end of a run
+//! it cannot answer "what was t042's p99 during the drain at t=8 s?".
+//! The [`Tsdb`] keeps that history: a fixed number of slots per series,
+//! filled by
+//! [`Registry::scrape_into`](crate::registry::Registry::scrape_into)
+//! (the fabric observer scrapes the pool and every admitted tenant,
+//! the latter with a `tenant="tNNN"` label, periodically and once at
+//! the end of the run).
 //!
 //! Storage is deliberately simple and deterministic: series keyed by
 //! a canonical `name\x1fk\x1ev…` string (labels sorted), where
-//! scalars (counters, gauges, rule outputs) keep `(sim µs, f64)`
-//! points and histograms keep cumulative [`SparseHistogram`] copies —
-//! dense-restorable bucket-for-bucket, so range queries still take
-//! exact deltas without the ring paying ~8 KB per point. When a ring
-//! is full
-//! the oldest point is evicted and counted. The query layer on top
-//! lives in [`crate::query`].
+//! scalars (counters, gauges) keep `(sim µs, f64)` points and
+//! histograms keep cumulative [`HistogramSnapshot`]s, which hold only
+//! the non-empty buckets, so range queries take exact deltas without
+//! a point costing a slot per bucket. Both kinds share one write path:
+//! a point at an instant the series already holds overwrites it, and
+//! when a ring is full the oldest point is evicted and counted. The
+//! query layer on top lives in [`crate::query`].
 //!
 //! The write path is on the fabric's scrape cadence (every registry,
 //! every interval), so it must not allocate per sample: the canonical
@@ -29,12 +29,13 @@ use std::fmt::Write as _;
 
 use gbooster_sim::time::SimTime;
 
-use crate::hist::{HistogramSnapshot, SparseHistogram};
-use crate::report::TelemetrySnapshot;
-use crate::slo::BurnState;
+use crate::hist::HistogramSnapshot;
 
 /// Default per-series ring capacity.
 pub const DEFAULT_SLOTS: usize = 64;
+
+/// `(sim µs, point)` pairs, oldest first.
+type Ring<T> = VecDeque<(u64, T)>;
 
 /// The points of one series: scalar samples or cumulative histogram
 /// snapshots, oldest first, timestamps strictly increasing.
@@ -42,8 +43,8 @@ pub const DEFAULT_SLOTS: usize = 64;
 pub enum SeriesData {
     /// `(sim µs, value)` samples.
     Scalar(VecDeque<(u64, f64)>),
-    /// `(sim µs, cumulative sparse snapshot)` samples.
-    Hist(VecDeque<(u64, SparseHistogram)>),
+    /// `(sim µs, cumulative snapshot)` samples.
+    Hist(VecDeque<(u64, HistogramSnapshot)>),
 }
 
 impl SeriesData {
@@ -208,14 +209,47 @@ impl Tsdb {
         &mut entry.data
     }
 
-    /// Records one scalar point. A point at a timestamp the series
-    /// already holds overwrites in place (re-scrape of the same
-    /// instant), keeping timestamps strictly increasing.
+    /// Records one scalar point.
     pub fn record(&mut self, at: SimTime, name: &str, labels: &[(&str, &str)], value: f64) {
+        let make = || SeriesData::Scalar(VecDeque::new());
+        self.push(at, name, labels, value, make, |data| match data {
+            SeriesData::Scalar(ring) => Some(ring),
+            SeriesData::Hist(_) => None,
+        });
+    }
+
+    /// Records one cumulative histogram snapshot.
+    pub fn record_hist(
+        &mut self,
+        at: SimTime,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: HistogramSnapshot,
+    ) {
+        let make = || SeriesData::Hist(VecDeque::new());
+        self.push(at, name, labels, snap, make, |data| match data {
+            SeriesData::Hist(ring) => Some(ring),
+            SeriesData::Scalar(_) => None,
+        });
+    }
+
+    /// Appends one point to the `ring_of` ring of the series for
+    /// `(name, labels)`, created via `make` on first sight. A point at
+    /// a timestamp the series already holds overwrites in place
+    /// (re-scrape of the same instant), keeping timestamps strictly
+    /// increasing; past [`Tsdb::slots`] points the oldest is evicted.
+    fn push<T>(
+        &mut self,
+        at: SimTime,
+        name: &str,
+        labels: &[(&str, &str)],
+        value: T,
+        make: fn() -> SeriesData,
+        ring_of: fn(&mut SeriesData) -> Option<&mut Ring<T>>,
+    ) {
         let slots = self.slots;
-        let entry = self.series_mut(name, labels, || SeriesData::Scalar(VecDeque::new()));
-        let SeriesData::Scalar(ring) = entry else {
-            debug_assert!(false, "scalar point into histogram series {name}");
+        let Some(ring) = ring_of(self.series_mut(name, labels, make)) else {
+            debug_assert!(false, "point of the wrong kind for series {name}");
             return;
         };
         let t = at.as_micros();
@@ -233,107 +267,6 @@ impl Tsdb {
         }
         self.ingested += 1;
         self.evicted += u64::from(over);
-    }
-
-    /// Records one cumulative histogram snapshot (stored sparsely).
-    pub fn record_hist(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        labels: &[(&str, &str)],
-        snap: &HistogramSnapshot,
-    ) {
-        self.record_hist_sparse(at, name, labels, snap.to_sparse());
-    }
-
-    /// Like [`Tsdb::record_hist`], taking the already-sparse form the
-    /// scrape loop produces ([`crate::registry::Registry::scrape_into`])
-    /// — no dense ~8 KB snapshot is ever materialized on that path.
-    pub fn record_hist_sparse(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        labels: &[(&str, &str)],
-        snap: SparseHistogram,
-    ) {
-        let slots = self.slots;
-        let entry = self.series_mut(name, labels, || SeriesData::Hist(VecDeque::new()));
-        let SeriesData::Hist(ring) = entry else {
-            debug_assert!(false, "histogram point into scalar series {name}");
-            return;
-        };
-        let t = at.as_micros();
-        if let Some(last) = ring.back_mut() {
-            if last.0 == t {
-                last.1 = snap;
-                return;
-            }
-            debug_assert!(last.0 < t, "out-of-order point for {name}");
-        }
-        ring.push_back((t, snap));
-        let over = ring.len() > slots;
-        if over {
-            ring.pop_front();
-        }
-        self.ingested += 1;
-        self.evicted += u64::from(over);
-    }
-
-    /// Ingests a whole [`TelemetrySnapshot`] at `at`: counters and
-    /// gauges as scalar points, histograms as cumulative snapshots,
-    /// all under `labels` (e.g. `[("tenant", "t042")]`, or empty for
-    /// the pool registry).
-    pub fn ingest(&mut self, at: SimTime, labels: &[(&str, &str)], snap: &TelemetrySnapshot) {
-        for (name, v) in &snap.counters {
-            #[allow(clippy::cast_precision_loss)]
-            self.record(at, name, labels, *v as f64);
-        }
-        for (name, v) in &snap.gauges {
-            self.record(at, name, labels, *v);
-        }
-        for (name, h) in &snap.histograms {
-            self.record_hist(at, name, labels, h);
-        }
-    }
-
-    /// Recording rule: persists the burn-rate numbers `slo.rs` just
-    /// computed for `objective` as `{objective}.fast_burn` /
-    /// `.slow_burn` / `.fast_count` / `.slow_count` scalar series, so
-    /// queries reproduce the alerting inputs exactly (same floats, no
-    /// recomputation).
-    pub fn record_burn(
-        &mut self,
-        at: SimTime,
-        objective: &str,
-        burn: &BurnState,
-        labels: &[(&str, &str)],
-    ) {
-        self.record(
-            at,
-            &format!("{objective}.fast_burn"),
-            labels,
-            burn.fast_burn,
-        );
-        self.record(
-            at,
-            &format!("{objective}.slow_burn"),
-            labels,
-            burn.slow_burn,
-        );
-        #[allow(clippy::cast_precision_loss)]
-        self.record(
-            at,
-            &format!("{objective}.fast_count"),
-            labels,
-            burn.fast_count as f64,
-        );
-        #[allow(clippy::cast_precision_loss)]
-        self.record(
-            at,
-            &format!("{objective}.slow_count"),
-            labels,
-            burn.slow_count as f64,
-        );
     }
 
     /// All series whose name is exactly `name` and whose labels are a
@@ -421,9 +354,8 @@ mod tests {
         reg.counter("c.total").add(7);
         reg.gauge("g.now").set(1.5);
         reg.histogram("h.lat").record(1_000);
-        let snap = reg.snapshot();
         let mut db = Tsdb::new(4);
-        db.ingest(t(100), &[("tenant", "t000")], &snap);
+        reg.scrape_into(&mut db, t(100), &[("tenant", "t000")]);
         assert!(db.series_count() >= 3);
         let want = vec![("tenant".to_string(), "t000".to_string())];
         let series = db.select("h.lat", &want).next().expect("hist series");

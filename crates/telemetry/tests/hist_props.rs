@@ -136,8 +136,9 @@ proptest! {
             .flat_map(|&v| [v.saturating_sub(1), v, v.saturating_add(1)])
             .chain([0, u64::MAX]);
         for x in thresholds {
-            prop_assert_eq!(delta.count_over(x), reference.count_over(x), "delta, threshold {}", x);
-            prop_assert_eq!(folded.count_over(x), reference.count_over(x), "record_one, threshold {}", x);
+            let want = reference.count_over(x);
+            prop_assert_eq!(delta.count_over(x), want, "delta, threshold {}", x);
+            prop_assert_eq!(folded.count_over(x), want, "record_one, threshold {}", x);
         }
         // The delta's extremes are bucket bounds, so its quantiles may
         // sit higher than the exact histogram's, but never past the
