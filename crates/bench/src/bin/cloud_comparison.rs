@@ -3,7 +3,7 @@
 //! versus GBooster's LAN offloading.
 
 use gbooster_bench::{compare, header, run_offloaded, session_secs, SEED};
-use gbooster_core::config::{CloudConfig, ExecutionMode, SessionConfig};
+use gbooster_core::config::{ExecutionMode, SessionConfig};
 use gbooster_core::session::Session;
 use gbooster_sim::device::DeviceSpec;
 use gbooster_workload::games::GameTitle;
@@ -20,7 +20,7 @@ fn main() {
             &SessionConfig::builder(game.clone(), nexus.clone())
                 .duration_secs(session_secs())
                 .seed(SEED)
-                .mode(ExecutionMode::Cloud(CloudConfig::default()))
+                .mode(ExecutionMode::Cloud)
                 .build(),
         );
         cloud_fps.push(report.median_fps);

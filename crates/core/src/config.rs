@@ -1,13 +1,20 @@
 //! Session configuration (builder-style).
 
 use gbooster_sim::device::{DeviceClass, DeviceSpec};
-use gbooster_sim::time::SimDuration;
-use gbooster_telemetry::{names, AlertConfig, SloObjective};
+use gbooster_telemetry::AlertConfig;
 use gbooster_workload::apps::AppTitle;
 use gbooster_workload::games::GameTitle;
 use gbooster_workload::genre::GenreProfile;
 
 use crate::error::GBoosterError;
+
+/// Largest accepted `loss_scale`, for sessions and the fabric alike:
+/// 100× the profiled link. Far larger scales overflow the sim clock
+/// when a transfer time is added to it.
+pub(crate) const MAX_LOSS_SCALE: f64 = 100.0;
+
+/// Largest accepted side of a render resolution, in pixels.
+const MAX_RENDER_SIDE: u32 = 65_535;
 
 /// The application under test: a game from Table II, an app from Table
 /// III, or a custom profile.
@@ -51,8 +58,10 @@ pub enum ExecutionMode {
     Local,
     /// GBooster offloading to nearby service devices.
     Offloaded(OffloadConfig),
-    /// OnLive-style remote cloud rendering (Section VII-F comparison).
-    Cloud(CloudConfig),
+    /// OnLive-style remote cloud rendering (Section VII-F comparison): a
+    /// 1280×720 stream capped at 30 FPS by the platform's video encoder
+    /// (OnLive measurements of ref \[43\]).
+    Cloud,
 }
 
 /// Offloading parameters.
@@ -72,22 +81,17 @@ pub struct OffloadConfig {
     /// Issuing stalls at this bound; stalls are counted under
     /// `sched.window_stalls`. Must be ≥ 1.
     pub max_inflight: usize,
-    /// How long after a node failure its orphaned frames wait before
-    /// being re-dispatched to the next-best node (detection delay of the
-    /// keep-alive protocol).
-    pub redispatch_timeout_ms: u64,
     /// Multiplier on the channel's datagram loss rate (1.0 = the profiled
     /// link). Values above 1.0 model a lossy link: retransmit accounting
     /// scales with it and each transfer pays a deterministic recovery
-    /// delay. Must be finite and ≥ 1.0.
+    /// delay. Must be in `[1, 100]`.
     pub loss_scale: f64,
-    /// Resolution rendered remotely and streamed back.
+    /// Resolution rendered remotely and streamed back. Each side must be
+    /// in `1..=65_535`.
     pub render_resolution: (u32, u32),
     /// Stitched frame traces retained by the flight recorder (the last N
     /// frames dumped on a fault).
     pub flight_recorder_depth: usize,
-    /// Frame-latency SLO driving the local-render fallback.
-    pub slo: SloConfig,
     /// Live-ops layer: streaming SLO objectives, alerting, anomaly
     /// detection, and incident correlation.
     pub ops: OpsConfig,
@@ -102,121 +106,31 @@ impl Default for OffloadConfig {
             interface_switching: true,
             buffer_depth: 3,
             max_inflight: 4,
-            redispatch_timeout_ms: 30,
             loss_scale: 1.0,
             render_resolution: (1280, 720),
             flight_recorder_depth: 32,
-            slo: SloConfig::default(),
             ops: OpsConfig::default(),
             faults: FaultInjection::default(),
         }
     }
 }
 
-/// Live-ops layer tuning: which SLO objectives are evaluated during the
-/// run and how their alerts dwell. The defaults are scaled to the
-/// simulator's seconds-long sessions (the Google-SRE structure with
-/// sub-second windows) and sit far enough above healthy behavior that
-/// a fault-free run raises nothing.
+/// Live-ops layer tuning: whether the layer runs and how the alerts of
+/// its built-in SLO objectives dwell.
 #[derive(Clone, Debug)]
 pub struct OpsConfig {
     /// Master switch: `false` runs the session with no ops layer at
     /// all (no streams, no alerts, no incidents).
     pub enabled: bool,
-    /// SLO objectives evaluated once per presented frame.
-    pub objectives: Vec<SloObjective>,
     /// Dwell/hysteresis shared by every objective's alert machine.
     pub alert: AlertConfig,
 }
 
 impl Default for OpsConfig {
     fn default() -> Self {
-        let fast = SimDuration::from_millis(800);
-        let slow = SimDuration::from_millis(2_500);
         OpsConfig {
             enabled: true,
-            objectives: vec![
-                // End-to-end frame latency: a healthy offloaded session
-                // presents in ~30–60 ms; 100 ms is user-visible jank.
-                SloObjective {
-                    name: names::slo::FRAME_LATENCY,
-                    stream: names::ops::WIN_FRAME_LATENCY,
-                    unit: "us",
-                    threshold: 100_000,
-                    budget: 0.05,
-                    fast_window: fast,
-                    slow_window: slow,
-                    fast_burn: 4.0,
-                    slow_burn: 2.0,
-                    warmup: SimDuration::from_millis(1_500),
-                },
-                // Presented fps, as the inter-frame gap: a 60 ms gap is
-                // a drop below ~17 fps.
-                SloObjective {
-                    name: names::slo::PRESENTED_FPS,
-                    stream: names::ops::WIN_FRAME_INTERVAL,
-                    unit: "us",
-                    threshold: 60_000,
-                    budget: 0.05,
-                    fast_window: fast,
-                    slow_window: slow,
-                    fast_burn: 4.0,
-                    slow_burn: 2.0,
-                    warmup: SimDuration::from_millis(1_500),
-                },
-                // Command-cache effectiveness, as per-frame miss
-                // permille: the warmed cache hits ~95%; sustained
-                // >70% misses means the cache stopped carrying traffic.
-                SloObjective {
-                    name: names::slo::CACHE_HIT,
-                    stream: names::ops::WIN_CACHE_MISS,
-                    unit: "permille",
-                    threshold: 700,
-                    budget: 0.15,
-                    fast_window: fast,
-                    slow_window: slow,
-                    fast_burn: 4.0,
-                    slow_burn: 2.0,
-                    warmup: SimDuration::from_millis(2_000),
-                },
-            ],
             alert: AlertConfig::default(),
-        }
-    }
-}
-
-/// Frame-latency SLO and fallback hysteresis. The engine tracks an EWMA
-/// of end-to-end frame latency; when it exceeds `engage_ms` for
-/// `breach_frames` consecutive presented frames (or the service pool
-/// empties), SwapBuffers flips to local rendering. Offloading resumes
-/// only after `min_fallback_frames` locally rendered frames AND the pool
-/// reporting healthy again — the engage/release split plus the dwell is
-/// the hysteresis that stops the switch from flapping.
-#[derive(Clone, Copy, Debug)]
-pub struct SloConfig {
-    /// EWMA frame latency (ms) above which the SLO counts a breach.
-    pub engage_ms: f64,
-    /// EWMA frame latency (ms) the *local* path must beat before the
-    /// engine considers re-offloading. Must not exceed `engage_ms`.
-    pub release_ms: f64,
-    /// Consecutive breaching frames required to engage the fallback.
-    pub breach_frames: u32,
-    /// Minimum locally rendered frames before release is considered.
-    pub min_fallback_frames: u32,
-    /// EWMA smoothing factor in `(0, 1]`.
-    pub alpha: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        // Default thresholds sit far above the ~30–60 ms latencies of a
-        // healthy session, so the fallback only fires on real trouble.
-        SloConfig {
-            engage_ms: 250.0,
-            release_ms: 120.0,
-            breach_frames: 4,
-            min_fallback_frames: 30,
-            alpha: 0.2,
         }
     }
 }
@@ -306,60 +220,22 @@ pub struct FaultInjection {
     pub dispatch_stall_at_frame: Option<u64>,
     /// Rapidly power-cycle the WiFi interface before this frame.
     pub iface_flap_at_frame: Option<u64>,
-    /// Kill service node `.1` (index into `service_devices`) when frame
-    /// `.0` is dispatched: the node stops serving, its in-flight frames
-    /// are re-dispatched to the next-best node after the re-dispatch
-    /// timeout, and the flight recorder latches a `node_loss` fault.
-    /// Requires at least two service devices. Sugar for a lone
-    /// [`NodeEvent::Kill`] in `node_events`.
-    pub kill_node_at_frame: Option<(u64, usize)>,
-    /// Scheduled node kills / revivals / degradations. Unlike the
-    /// `kill_node_at_frame` sugar, a `Kill` here is allowed with a
-    /// single service device: the session survives via the local-render
-    /// fallback instead of re-dispatching.
+    /// Scheduled node kills / revivals / degradations. A killed node's
+    /// in-flight frames re-dispatch to the next-best node, and the
+    /// flight recorder latches a `node_loss` fault; with no node left,
+    /// the session survives via the local-render fallback.
     pub node_events: Vec<NodeEvent>,
     /// Link-partition windows cutting a node's probe channel.
     pub partitions: Vec<LinkPartition>,
 }
 
 impl FaultInjection {
-    /// True if any fault is scheduled.
-    pub fn any(&self) -> bool {
-        self.loss_storm_at_frame.is_some()
-            || self.dispatch_stall_at_frame.is_some()
-            || self.iface_flap_at_frame.is_some()
-            || self.kill_node_at_frame.is_some()
-            || !self.node_events.is_empty()
-            || !self.partitions.is_empty()
-    }
-
-    /// The full node-event schedule with the `kill_node_at_frame` sugar
-    /// folded in, sorted by (frame, node) for deterministic application.
+    /// The node-event schedule sorted by (frame, node) for deterministic
+    /// application.
     pub fn node_schedule(&self) -> Vec<NodeEvent> {
         let mut events = self.node_events.clone();
-        if let Some((frame, node)) = self.kill_node_at_frame {
-            events.push(NodeEvent::Kill { frame, node });
-        }
         events.sort_by_key(|e| (e.frame(), e.node()));
         events
-    }
-}
-
-/// Cloud-baseline parameters (OnLive measurements of ref \[43\]).
-#[derive(Clone, Debug)]
-pub struct CloudConfig {
-    /// Stream FPS cap imposed by the platform's video encoder.
-    pub encoder_fps_cap: u32,
-    /// Stream resolution.
-    pub resolution: (u32, u32),
-}
-
-impl Default for CloudConfig {
-    fn default() -> Self {
-        CloudConfig {
-            encoder_fps_cap: 30,
-            resolution: (1280, 720),
-        }
     }
 }
 
@@ -373,19 +249,13 @@ pub struct SessionConfig {
     /// Execution mode.
     pub mode: ExecutionMode,
     /// Played session length in simulated seconds (the paper plays
-    /// 15 minutes; tests use shorter sessions with thermal time
-    /// compression).
+    /// 15 minutes; shorter sessions heat the phone GPU proportionally
+    /// faster, so every session covers the same thermal arc).
     pub duration_secs: u64,
     /// RNG seed for full reproducibility.
     pub seed: u64,
-    /// Resolution games render at locally (internal render target;
-    /// commercial titles render near 1080p regardless of panel).
-    pub local_render_resolution: (u32, u32),
-    /// Multiplier on GPU heating so shortened sessions still reach the
-    /// Fig. 1 throttle point at the same *proportional* session position
-    /// (e.g. 5.0 compresses the 10-minute throttle onset to 2 minutes).
-    pub thermal_time_compression: f64,
     /// Traffic forecasting window (the paper forecasts 500 ms ahead).
+    /// Offloaded sessions need it in 1 ms to the session length.
     pub predictor_window_ms: u64,
 }
 
@@ -399,8 +269,6 @@ impl SessionConfig {
                 mode: ExecutionMode::Local,
                 duration_secs: 120,
                 seed: 42,
-                local_render_resolution: (1920, 1080),
-                thermal_time_compression: 900.0 / 120.0,
                 predictor_window_ms: 500,
             },
         }
@@ -410,11 +278,19 @@ impl SessionConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`GBoosterError::Config`] for empty sessions, phones used
-    /// as service devices, or empty device lists.
+    /// Returns [`GBoosterError::Config`] for empty or overlong sessions,
+    /// phones used as service devices, empty device lists, and pipeline
+    /// knobs outside their documented ranges.
     pub fn validate(&self) -> Result<(), GBoosterError> {
         if self.duration_secs == 0 {
             return Err(GBoosterError::Config("session duration is zero".into()));
+        }
+        // The sim clock counts microseconds in a u64.
+        if self.duration_secs > u64::MAX / 1_000_000 {
+            return Err(GBoosterError::Config(format!(
+                "session duration {} s overflows the sim clock",
+                self.duration_secs
+            )));
         }
         if let ExecutionMode::Offloaded(off) = &self.mode {
             if off.service_devices.is_empty() {
@@ -428,23 +304,23 @@ impl SessionConfig {
             if off.max_inflight == 0 {
                 return Err(GBoosterError::Config("max_inflight is zero".into()));
             }
-            if !off.loss_scale.is_finite() || off.loss_scale < 1.0 {
+            if !(1.0..=MAX_LOSS_SCALE).contains(&off.loss_scale) {
                 return Err(GBoosterError::Config(format!(
-                    "loss_scale must be finite and >= 1.0, got {}",
+                    "loss_scale must be in [1, {MAX_LOSS_SCALE}], got {}",
                     off.loss_scale
                 )));
             }
-            if let Some((_, node)) = off.faults.kill_node_at_frame {
-                if off.service_devices.len() < 2 {
-                    return Err(GBoosterError::Config(
-                        "kill_node_at_frame needs at least two service devices".into(),
-                    ));
-                }
-                if node >= off.service_devices.len() {
-                    return Err(GBoosterError::Config(format!(
-                        "kill_node_at_frame node index {node} out of range",
-                    )));
-                }
+            let (w, h) = off.render_resolution;
+            if !(1..=MAX_RENDER_SIDE).contains(&w) || !(1..=MAX_RENDER_SIDE).contains(&h) {
+                return Err(GBoosterError::Config(format!(
+                    "render_resolution {w}x{h} needs each side in 1..={MAX_RENDER_SIDE}"
+                )));
+            }
+            if !(1..=self.duration_secs * 1_000).contains(&self.predictor_window_ms) {
+                return Err(GBoosterError::Config(format!(
+                    "predictor_window_ms {} must be in 1 ms to the session length",
+                    self.predictor_window_ms
+                )));
             }
             for ev in &off.faults.node_events {
                 if ev.node() >= off.service_devices.len() {
@@ -475,38 +351,6 @@ impl SessionConfig {
                         "partition window [{}, {}) is empty",
                         p.from_frame, p.until_frame
                     )));
-                }
-            }
-            let slo = &off.slo;
-            if !slo.engage_ms.is_finite() || slo.engage_ms <= 0.0 {
-                return Err(GBoosterError::Config(format!(
-                    "SLO engage_ms must be finite and positive, got {}",
-                    slo.engage_ms
-                )));
-            }
-            if !slo.release_ms.is_finite()
-                || slo.release_ms <= 0.0
-                || slo.release_ms > slo.engage_ms
-            {
-                return Err(GBoosterError::Config(format!(
-                    "SLO release_ms must be in (0, engage_ms], got {}",
-                    slo.release_ms
-                )));
-            }
-            if slo.breach_frames == 0 || slo.min_fallback_frames == 0 {
-                return Err(GBoosterError::Config(
-                    "SLO breach_frames and min_fallback_frames must be >= 1".into(),
-                ));
-            }
-            if !slo.alpha.is_finite() || slo.alpha <= 0.0 || slo.alpha > 1.0 {
-                return Err(GBoosterError::Config(format!(
-                    "SLO alpha must be in (0, 1], got {}",
-                    slo.alpha
-                )));
-            }
-            for obj in &off.ops.objectives {
-                if let Err(e) = obj.validate() {
-                    return Err(GBoosterError::Config(format!("ops objective {e}")));
                 }
             }
             for dev in &off.service_devices {
@@ -544,35 +388,15 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Sets the simulated session length. Thermal time compression is
-    /// rescaled so the session still covers a 15-minute thermal arc.
+    /// Sets the simulated session length.
     pub fn duration_secs(mut self, secs: u64) -> Self {
         self.config.duration_secs = secs;
-        self.config.thermal_time_compression = 900.0 / secs.max(1) as f64;
         self
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Overrides thermal time compression (1.0 = real time).
-    pub fn thermal_time_compression(mut self, factor: f64) -> Self {
-        self.config.thermal_time_compression = factor;
-        self
-    }
-
-    /// Overrides the local render resolution.
-    pub fn local_render_resolution(mut self, width: u32, height: u32) -> Self {
-        self.config.local_render_resolution = (width, height);
-        self
-    }
-
-    /// Overrides the predictor window.
-    pub fn predictor_window_ms(mut self, ms: u64) -> Self {
-        self.config.predictor_window_ms = ms;
         self
     }
 
@@ -606,16 +430,7 @@ mod tests {
         let cfg =
             SessionConfig::builder(GameTitle::g1_gta_san_andreas(), DeviceSpec::nexus5()).build();
         assert!(matches!(cfg.mode, ExecutionMode::Local));
-        assert_eq!(cfg.local_render_resolution, (1920, 1080));
         assert_eq!(cfg.predictor_window_ms, 500);
-    }
-
-    #[test]
-    fn duration_rescales_thermal_compression() {
-        let cfg = SessionConfig::builder(GameTitle::g1_gta_san_andreas(), DeviceSpec::nexus5())
-            .duration_secs(90)
-            .build();
-        assert!((cfg.thermal_time_compression - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -652,66 +467,69 @@ mod tests {
                 .mode(ExecutionMode::Offloaded(off))
                 .try_build()
         };
-        let err = base(OffloadConfig {
+        let rejected = |off: OffloadConfig| matches!(base(off), Err(GBoosterError::Config(_)));
+        assert!(rejected(OffloadConfig {
             max_inflight: 0,
             ..OffloadConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        let err = base(OffloadConfig {
-            loss_scale: 0.5,
+        }));
+        for loss_scale in [0.5, f64::NAN, 1e6, 1e300] {
+            assert!(
+                rejected(OffloadConfig {
+                    loss_scale,
+                    ..OffloadConfig::default()
+                }),
+                "loss_scale {loss_scale}"
+            );
+        }
+        for render_resolution in [(0, 720), (1280, 0), (1_048_576, 720), (65_536, 65_536)] {
+            assert!(
+                rejected(OffloadConfig {
+                    render_resolution,
+                    ..OffloadConfig::default()
+                }),
+                "render_resolution {render_resolution:?}"
+            );
+        }
+        // The bounds themselves are accepted.
+        assert!(base(OffloadConfig {
+            loss_scale: MAX_LOSS_SCALE,
+            render_resolution: (1, MAX_RENDER_SIDE),
             ..OffloadConfig::default()
         })
-        .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        let err = base(OffloadConfig {
-            loss_scale: f64::NAN,
-            ..OffloadConfig::default()
-        })
-        .unwrap_err();
+        .is_ok());
+        let with = |window_ms: u64, secs: u64| {
+            let mut cfg =
+                SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
+                    .duration_secs(secs)
+                    .offload_to(vec![DeviceSpec::nvidia_shield()])
+                    .build();
+            cfg.predictor_window_ms = window_ms;
+            cfg.validate()
+        };
+        for (window_ms, secs) in [(0, 120), (u64::MAX / 2, 120), (2_001, 2)] {
+            assert!(
+                matches!(with(window_ms, secs), Err(GBoosterError::Config(_))),
+                "predictor window {window_ms} ms over {secs} s"
+            );
+        }
+        assert!(with(2_000, 2).is_ok());
+        let err = SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
+            .duration_secs(u64::MAX / 1_000_000 + 1)
+            .try_build()
+            .unwrap_err();
         assert!(matches!(err, GBoosterError::Config(_)));
     }
 
     #[test]
-    fn kill_node_fault_requires_a_spare_device() {
-        // One device: nobody to re-dispatch to.
-        let err = SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
-            .mode(ExecutionMode::Offloaded(OffloadConfig {
-                faults: FaultInjection {
-                    kill_node_at_frame: Some((10, 0)),
-                    ..FaultInjection::default()
-                },
-                ..OffloadConfig::default()
-            }))
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        // Out-of-range node index.
-        let err = SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
-            .mode(ExecutionMode::Offloaded(OffloadConfig {
-                service_devices: vec![DeviceSpec::nvidia_shield(), DeviceSpec::minix_neo_u1()],
-                faults: FaultInjection {
-                    kill_node_at_frame: Some((10, 2)),
-                    ..FaultInjection::default()
-                },
-                ..OffloadConfig::default()
-            }))
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-    }
-
-    #[test]
-    fn node_event_schedule_folds_in_the_kill_sugar_and_sorts() {
+    fn node_event_schedule_sorts_by_frame_then_node() {
         let faults = FaultInjection {
-            kill_node_at_frame: Some((50, 1)),
             node_events: vec![
                 NodeEvent::Revive { frame: 90, node: 1 },
+                NodeEvent::Kill { frame: 50, node: 1 },
                 NodeEvent::Kill { frame: 20, node: 0 },
             ],
             ..FaultInjection::default()
         };
-        assert!(faults.any());
         let sched = faults.node_schedule();
         assert_eq!(
             sched,
@@ -782,8 +600,8 @@ mod tests {
             ..FaultInjection::default()
         })
         .is_ok());
-        // Unlike the sugar, a scheduled Kill is fine with one device:
-        // the local-render fallback absorbs an empty pool.
+        // A scheduled Kill is fine with one device: the local-render
+        // fallback absorbs an empty pool.
         assert!(
             SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
                 .mode(ExecutionMode::Offloaded(OffloadConfig {
@@ -796,39 +614,6 @@ mod tests {
                 .try_build()
                 .is_ok()
         );
-    }
-
-    #[test]
-    fn slo_thresholds_are_validated() {
-        let base = |slo: SloConfig| {
-            SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
-                .mode(ExecutionMode::Offloaded(OffloadConfig {
-                    slo,
-                    ..OffloadConfig::default()
-                }))
-                .try_build()
-        };
-        // Release above engage breaks the hysteresis ordering.
-        let err = base(SloConfig {
-            engage_ms: 100.0,
-            release_ms: 200.0,
-            ..SloConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        let err = base(SloConfig {
-            breach_frames: 0,
-            ..SloConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        let err = base(SloConfig {
-            alpha: 0.0,
-            ..SloConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, GBoosterError::Config(_)));
-        assert!(base(SloConfig::default()).is_ok());
     }
 
     #[test]

@@ -52,6 +52,7 @@ use gbooster_workload::tracegen::TraceGenerator;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::config::MAX_LOSS_SCALE;
 use crate::error::GBoosterError;
 use crate::forward::CommandForwarder;
 use crate::rebalance::{assign_destinations, RebalancePolicy, Rebalancer};
@@ -86,10 +87,8 @@ const WINDOW: SimDuration = SimDuration::from_secs(1);
 const SCRAPE_INTERVAL: SimDuration = SimDuration::from_millis(250);
 /// Observer TSDB ring capacity per series.
 const TSDB_SLOTS: usize = 64;
-/// Largest accepted [`FabricConfig::loss_scale`]: 100× the nominal
-/// lossy link. Far larger scales overflow the sim clock when a transfer
-/// time is added to it.
-const MAX_LOSS_SCALE: f64 = 100.0;
+/// Cadence of the rebalancer's [`Rebalancer::tick`] polls.
+const REBALANCE_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// One tenant's workload contract.
 #[derive(Clone, Debug)]
@@ -1398,10 +1397,8 @@ impl<'a> Fabric<'a> {
         for (idx, ev) in self.cfg.events.iter().enumerate() {
             self.schedule(ev.parts().0.as_micros(), EV_FAULT, idx as u64, 0);
         }
-        if let Some(p) = self.cfg.rebalance {
-            if p.check_interval.as_micros() < horizon {
-                self.schedule(p.check_interval.as_micros(), EV_REBALANCE, 0, 0);
-            }
+        if self.cfg.rebalance.is_some() && REBALANCE_INTERVAL.as_micros() < horizon {
+            self.schedule(REBALANCE_INTERVAL.as_micros(), EV_REBALANCE, 0, 0);
         }
         if self.obs.is_some() && SCRAPE_INTERVAL.as_micros() <= horizon {
             self.schedule(SCRAPE_INTERVAL.as_micros(), EV_SCRAPE, 0, 0);
@@ -1891,8 +1888,7 @@ impl<'a> Fabric<'a> {
             self.start_drain(now, d.node, "rebalance");
             self.pump(now);
         }
-        let interval = self.cfg.rebalance.expect("rebalance events need a policy");
-        let next = t_us + interval.check_interval.as_micros();
+        let next = t_us + REBALANCE_INTERVAL.as_micros();
         if next < self.cfg.duration.as_micros() {
             self.schedule(next, EV_REBALANCE, 0, 0);
         }

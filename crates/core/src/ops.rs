@@ -3,9 +3,8 @@
 //! [`OpsRuntime`] is the glue between the session engine and the
 //! telemetry crate's streaming-ops primitives: it owns the shared
 //! [`OpsLog`] journal, feeds the windowed metric streams once per
-//! presented frame, evaluates every configured
-//! [`SloObjective`](gbooster_telemetry::SloObjective) the
-//! multi-window burn-rate way, steps the per-objective
+//! presented frame, evaluates every built-in
+//! [`SloObjective`] the multi-window burn-rate way, steps the per-objective
 //! [`AlertMachine`]s, runs [`AnomalyDetector`]s over the streams that
 //! have no hard objective (per-interface power draw), and correlates
 //! everything — detector faults, alert firings, injected degradations —
@@ -26,8 +25,8 @@
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::{
     names, AlertMachine, AlertSummary, AlertTransition, AnomalyDetector, AttributionLog, BurnState,
-    Counter, Fault, IncidentManager, OpsEventKind, OpsLog, OpsReport, Registry, SloWindowState,
-    WindowedHistogram,
+    Counter, Fault, IncidentManager, OpsEventKind, OpsLog, OpsReport, Registry, SloObjective,
+    SloWindowState, WindowedHistogram,
 };
 
 use crate::config::OpsConfig;
@@ -52,6 +51,62 @@ const ANOMALY_WARMUP: u64 = 30;
 /// Severity of an SLO-burn-triggered incident (the floor of the ranks).
 const SLO_BURN_SEVERITY: u8 = 1;
 
+/// Fast burn window shared by the built-in objectives.
+const FAST_WINDOW: SimDuration = SimDuration::from_millis(800);
+
+/// Slow burn window shared by the built-in objectives.
+const SLOW_WINDOW: SimDuration = SimDuration::from_millis(2_500);
+
+/// SLO objectives evaluated once per presented frame. They are scaled
+/// to the simulator's seconds-long sessions (the Google-SRE structure
+/// with sub-second windows) and sit far enough above healthy behavior
+/// that a fault-free run raises nothing.
+const OBJECTIVES: [SloObjective; 3] = [
+    // End-to-end frame latency: a healthy offloaded session presents in
+    // ~30–60 ms; 100 ms is user-visible jank.
+    SloObjective {
+        name: names::slo::FRAME_LATENCY,
+        stream: names::ops::WIN_FRAME_LATENCY,
+        unit: "us",
+        threshold: 100_000,
+        budget: 0.05,
+        fast_window: FAST_WINDOW,
+        slow_window: SLOW_WINDOW,
+        fast_burn: 4.0,
+        slow_burn: 2.0,
+        warmup: SimDuration::from_millis(1_500),
+    },
+    // Presented fps, as the inter-frame gap: a 60 ms gap is a drop below
+    // ~17 fps.
+    SloObjective {
+        name: names::slo::PRESENTED_FPS,
+        stream: names::ops::WIN_FRAME_INTERVAL,
+        unit: "us",
+        threshold: 60_000,
+        budget: 0.05,
+        fast_window: FAST_WINDOW,
+        slow_window: SLOW_WINDOW,
+        fast_burn: 4.0,
+        slow_burn: 2.0,
+        warmup: SimDuration::from_millis(1_500),
+    },
+    // Command-cache effectiveness, as per-frame miss permille: the
+    // warmed cache hits ~95%; sustained >70% misses means the cache
+    // stopped carrying traffic.
+    SloObjective {
+        name: names::slo::CACHE_HIT,
+        stream: names::ops::WIN_CACHE_MISS,
+        unit: "permille",
+        threshold: 700,
+        budget: 0.15,
+        fast_window: FAST_WINDOW,
+        slow_window: SLOW_WINDOW,
+        fast_burn: 4.0,
+        slow_burn: 2.0,
+        warmup: SimDuration::from_millis(2_000),
+    },
+];
+
 /// Incident kind and severity for a detector-classified fault, or
 /// `None` for faults that are recoveries rather than triggers.
 fn fault_rank(fault: Fault) -> Option<(&'static str, u8)> {
@@ -70,7 +125,7 @@ fn fault_rank(fault: Fault) -> Option<(&'static str, u8)> {
 /// One objective with its stream handle and alert lifecycle.
 #[derive(Debug)]
 struct ObjectiveRuntime {
-    objective: gbooster_telemetry::SloObjective,
+    objective: SloObjective,
     stream: WindowedHistogram,
     alert: AlertMachine,
 }
@@ -117,8 +172,7 @@ impl OpsRuntime {
         if !cfg.enabled {
             return None;
         }
-        let objectives = cfg
-            .objectives
+        let objectives = OBJECTIVES
             .iter()
             .map(|&objective| ObjectiveRuntime {
                 objective,
@@ -398,6 +452,13 @@ mod tests {
             ..OpsConfig::default()
         };
         OpsRuntime::new(&cfg, &registry, AttributionLog::new()).expect("enabled by default")
+    }
+
+    #[test]
+    fn builtin_objectives_validate() {
+        for objective in &OBJECTIVES {
+            assert_eq!(objective.validate(), Ok(()));
+        }
     }
 
     #[test]

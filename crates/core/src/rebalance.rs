@@ -15,37 +15,34 @@ use gbooster_sim::time::{SimDuration, SimTime};
 
 use crate::health::{DutyCycleEwma, ThermalHint};
 
+/// Duty-cycle accounting window fed to [`DutyCycleEwma`].
+const DUTY_WINDOW: SimDuration = SimDuration::from_millis(100);
+
+/// EWMA smoothing per closed duty window.
+const DUTY_ALPHA: f64 = 0.4;
+
+/// Minimum spacing between two drain verdicts.
+const DRAIN_COOLDOWN: SimDuration = SimDuration::from_secs(1);
+
 /// Knobs for the rebalance loop.
 ///
-/// Defaults are tuned for the fabric's 1 s fair-share window: the
+/// The loop is tuned for the fabric's 1 s fair-share window: the
 /// thermal EWMA reacts within a few hundred milliseconds of sustained
-/// saturation but shrugs off single-frame spikes, and the cooldown
+/// saturation but shrugs off single-frame spikes, and a 1 s cooldown
 /// keeps two drains from racing each other's warm-up transients.
 #[derive(Clone, Copy, Debug)]
 pub struct RebalancePolicy {
-    /// Cadence of [`Rebalancer::tick`] polls.
-    pub check_interval: SimDuration,
-    /// Duty-cycle accounting window fed to [`DutyCycleEwma`].
-    pub thermal_window: SimDuration,
-    /// EWMA smoothing per closed window.
-    pub thermal_alpha: f64,
     /// Duty EWMA at or above this enters [`ThermalHint::Throttling`].
     pub thermal_enter: f64,
     /// Duty EWMA at or below this clears the hint (hysteresis).
     pub thermal_exit: f64,
-    /// Minimum spacing between two drain verdicts.
-    pub cooldown: SimDuration,
 }
 
 impl Default for RebalancePolicy {
     fn default() -> Self {
         RebalancePolicy {
-            check_interval: SimDuration::from_millis(250),
-            thermal_window: SimDuration::from_millis(100),
-            thermal_alpha: 0.4,
             thermal_enter: 0.85,
             thermal_exit: 0.60,
-            cooldown: SimDuration::from_secs(1),
         }
     }
 }
@@ -53,11 +50,7 @@ impl Default for RebalancePolicy {
 impl RebalancePolicy {
     /// Sanity-checks the knobs.
     pub fn valid(&self) -> bool {
-        !self.check_interval.is_zero()
-            && !self.thermal_window.is_zero()
-            && self.thermal_alpha > 0.0
-            && self.thermal_alpha <= 1.0
-            && self.thermal_enter > self.thermal_exit
+        self.thermal_enter > self.thermal_exit
             && self.thermal_enter <= 1.0
             && self.thermal_exit >= 0.0
     }
@@ -72,7 +65,6 @@ pub struct DrainDecision {
 
 /// Per-node thermal bookkeeping plus the drain policy.
 pub struct Rebalancer {
-    policy: RebalancePolicy,
     thermal: Vec<DutyCycleEwma>,
     last_drain: Option<SimTime>,
 }
@@ -86,12 +78,11 @@ impl Rebalancer {
     pub fn new(n: usize, policy: RebalancePolicy) -> Self {
         assert!(policy.valid(), "rebalance policy knobs out of range");
         Rebalancer {
-            policy,
             thermal: (0..n)
                 .map(|_| {
                     DutyCycleEwma::new(
-                        policy.thermal_window,
-                        policy.thermal_alpha,
+                        DUTY_WINDOW,
+                        DUTY_ALPHA,
                         policy.thermal_enter,
                         policy.thermal_exit,
                     )
@@ -146,7 +137,7 @@ impl Rebalancer {
             return None;
         }
         if let Some(last) = self.last_drain {
-            if now < last + self.policy.cooldown {
+            if now < last + DRAIN_COOLDOWN {
                 return None;
             }
         }

@@ -5,7 +5,7 @@
 //! cargo run --release --example evaluation_sweep
 //! ```
 
-use gbooster::core::config::{CloudConfig, ExecutionMode, OffloadConfig, SessionConfig};
+use gbooster::core::config::{ExecutionMode, OffloadConfig, SessionConfig};
 use gbooster::core::session::Session;
 use gbooster::sim::device::DeviceSpec;
 use gbooster::workload::games::GameTitle;
@@ -25,11 +25,7 @@ fn main() {
                     .mode(ExecutionMode::Offloaded(OffloadConfig::default()))
                     .build(),
             );
-            let cloud = Session::run(
-                &base()
-                    .mode(ExecutionMode::Cloud(CloudConfig::default()))
-                    .build(),
-            );
+            let cloud = Session::run(&base().mode(ExecutionMode::Cloud).build());
             println!(
                 "{:4}  local {:>5.1} fps {:>6.1} ms {:>5.2} W | gbooster {:>5.1} fps {:>6.1} ms {:>5.2} W | cloud {:>5.1} fps {:>6.1} ms",
                 game.id,

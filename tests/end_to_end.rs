@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning every crate: the paper's
 //! headline claims, exercised through the full session engine.
 
-use gbooster::core::config::{CloudConfig, ExecutionMode, OffloadConfig, SessionConfig};
+use gbooster::core::config::{ExecutionMode, OffloadConfig, SessionConfig};
 use gbooster::core::session::{Session, SessionReport};
 use gbooster::sim::device::DeviceSpec;
 use gbooster::telemetry::names;
@@ -131,7 +131,7 @@ fn cloud_baseline_matches_section_7f() {
         &SessionConfig::builder(GameTitle::g1_gta_san_andreas(), DeviceSpec::nexus5())
             .duration_secs(SECS)
             .seed(99)
-            .mode(ExecutionMode::Cloud(CloudConfig::default()))
+            .mode(ExecutionMode::Cloud)
             .build(),
     );
     assert!(

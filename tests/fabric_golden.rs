@@ -203,7 +203,6 @@ fn degrade_then_rebalance() {
     cfg.rebalance = Some(RebalancePolicy {
         thermal_enter: 0.70,
         thermal_exit: 0.50,
-        ..RebalancePolicy::default()
     });
     cfg.events.push(PoolEvent::Degrade {
         at: SimTime::from_secs(1),

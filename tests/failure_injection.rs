@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use gbooster::core::config::{ExecutionMode, FaultInjection, OffloadConfig, SessionConfig};
+use gbooster::core::config::{
+    ExecutionMode, FaultInjection, NodeEvent, OffloadConfig, SessionConfig,
+};
 use gbooster::core::forward::{CommandForwarder, ServiceReceiver};
 use gbooster::core::session::Session;
 use gbooster::core::GBoosterError;
@@ -257,7 +259,7 @@ fn node_loss_redispatches_in_flight_frames_without_a_gap() {
             ],
             flight_recorder_depth: 8,
             faults: FaultInjection {
-                kill_node_at_frame: Some((50, 0)),
+                node_events: vec![NodeEvent::Kill { frame: 50, node: 0 }],
                 ..FaultInjection::default()
             },
             ..OffloadConfig::default()

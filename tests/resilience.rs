@@ -787,7 +787,6 @@ fn rebalancer_drain_folds_into_the_open_degradation_incident() {
     cfg.rebalance = Some(RebalancePolicy {
         thermal_enter: 0.70,
         thermal_exit: 0.50,
-        ..RebalancePolicy::default()
     });
     cfg.events.push(PoolEvent::Degrade {
         at: SimTime::from_secs(1),
