@@ -34,11 +34,6 @@ impl CacheToken {
             CacheToken::Full(data) => 1 + 4 + data.len(),
         }
     }
-
-    /// True when the cache replaced the body with a reference (a hit).
-    pub fn is_ref(&self) -> bool {
-        matches!(self, CacheToken::Ref(_))
-    }
 }
 
 /// Doubly-linked-list node indices for O(1) LRU maintenance.

@@ -383,11 +383,6 @@ impl TurboDecoder {
         self.frame = Some(frame.clone());
         Ok(frame)
     }
-
-    /// The most recently decoded frame, if any.
-    pub fn current_frame(&self) -> Option<&[u8]> {
-        self.frame.as_deref()
-    }
 }
 
 #[cfg(test)]

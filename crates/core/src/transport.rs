@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use gbooster_forecast::predictor::TrafficPredictor;
-use gbooster_net::switch::{IfaceTime, InterfaceManager, Route, SwitchStats};
+use gbooster_net::switch::{InterfaceManager, Route, SwitchStats};
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::{
     names, AttributionLog, ClockOffsetEstimator, Counter, Gauge, OpsEventKind, OpsLog, Registry,
@@ -425,11 +425,6 @@ impl TransportManager {
     /// Switch statistics.
     pub fn switch_stats(&self) -> SwitchStats {
         self.mgr.stats()
-    }
-
-    /// Accumulated per-interface time-in-state totals.
-    pub fn iface_time(&self) -> IfaceTime {
-        self.mgr.time_in_state()
     }
 
     /// Forces `cycles` rapid WiFi power cycles at `now` (fault injection

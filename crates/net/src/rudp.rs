@@ -559,177 +559,6 @@ pub fn simulate_transfer_ctx(
     stats
 }
 
-/// Per-message outcome of a [`simulate_pipelined_transfer`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MessageCompletion {
-    /// Frame id carried by the message's datagrams, read back off the
-    /// wire at final delivery (not echoed from the input).
-    pub frame_id: u64,
-    /// Sim time of the message's last in-order delivery.
-    pub completed_at: SimTime,
-    /// Bytes delivered for this message.
-    pub bytes: u64,
-}
-
-/// Outcome of a pipelined multi-message transfer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PipelinedStats {
-    /// One entry per input message, in input order (in-order delivery
-    /// guarantees message *i* finishes before message *i+1*).
-    pub completions: Vec<MessageCompletion>,
-    /// Aggregate link-level stats for the whole pipelined run.
-    pub total: TransferStats,
-}
-
-fn datagram_count(bytes: usize, mtu: usize) -> u64 {
-    if bytes == 0 {
-        1 // enqueue() emits one zero-length datagram
-    } else {
-        bytes.div_ceil(mtu) as u64
-    }
-}
-
-/// Simulates transferring several messages back-to-back over one RUDP
-/// connection — the pipelined frame window of the offload session: frame
-/// `i+1`'s datagrams enter the send window as soon as it has room,
-/// without waiting for frame `i`'s final ack. Each message's datagrams
-/// carry its own [`TraceContext`] (retransmissions included), and the
-/// in-order reassembly buffer guarantees messages complete in input
-/// order. Deterministic for a given `seed`.
-pub fn simulate_pipelined_transfer(
-    messages: &[(usize, TraceContext)],
-    channel: &ChannelModel,
-    config: RudpConfig,
-    seed: u64,
-) -> PipelinedStats {
-    gbooster_telemetry::prof_scope!(names::host::RUDP);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sender = RudpSender::new(config);
-    let mut receiver = RudpReceiver::new();
-    for &(bytes, ctx) in messages {
-        sender.enqueue_traced(bytes, ctx);
-    }
-    let counts: Vec<u64> = messages
-        .iter()
-        .map(|&(bytes, _)| datagram_count(bytes, config.mtu))
-        .collect();
-    let mut completions = Vec::with_capacity(messages.len());
-    let mut msg_idx = 0usize;
-    let mut left_in_msg = counts.first().copied().unwrap_or(0);
-
-    let mut queue: EventQueue<NetEvent> = EventQueue::new();
-    let mut sent: u64 = 0;
-    let mut link_free_at = SimTime::ZERO;
-    let mut finish = SimTime::ZERO;
-
-    let initial = sender.poll_send(SimTime::ZERO);
-    for dg in initial {
-        sent += 1;
-        let start = link_free_at.max(SimTime::ZERO);
-        let tx_end = start + channel.tx_time(dg.len);
-        link_free_at = tx_end;
-        if !channel.should_drop(&mut rng) {
-            queue.push(
-                tx_end + channel.sample_latency(&mut rng),
-                NetEvent::DataArrives { dg, sent_at: start },
-            );
-        }
-    }
-    queue.push(SimTime::ZERO + config.rto, NetEvent::RtoCheck);
-
-    let mut guard = 0u64;
-    while let Some((now, event)) = queue.pop() {
-        guard += 1;
-        if guard > 10_000_000 {
-            panic!("rudp pipelined simulation failed to converge");
-        }
-        match event {
-            NetEvent::DataArrives { dg, sent_at } => {
-                let (ack, delivered) = receiver.on_datagram_full(dg);
-                for d in &delivered {
-                    debug_assert_eq!(
-                        d.ctx, messages[msg_idx].1,
-                        "context must survive the wire per message"
-                    );
-                    left_in_msg -= 1;
-                    if left_in_msg == 0 {
-                        completions.push(MessageCompletion {
-                            frame_id: d.ctx.frame_id,
-                            completed_at: now,
-                            bytes: messages[msg_idx].0 as u64,
-                        });
-                        msg_idx += 1;
-                        left_in_msg = counts.get(msg_idx).copied().unwrap_or(0);
-                    }
-                }
-                if !delivered.is_empty() {
-                    finish = now;
-                }
-                if !channel.should_drop(&mut rng) {
-                    queue.push(
-                        now + channel.sample_latency(&mut rng),
-                        NetEvent::AckArrives {
-                            ack,
-                            t1: sent_at,
-                            t2_us: now.as_micros() as i64,
-                        },
-                    );
-                }
-            }
-            NetEvent::AckArrives { ack, .. } => {
-                sender.on_ack(ack);
-                if sender.is_complete() {
-                    break;
-                }
-                for dg in sender.poll_send(now) {
-                    sent += 1;
-                    let start = link_free_at.max(now);
-                    let tx_end = start + channel.tx_time(dg.len);
-                    link_free_at = tx_end;
-                    if !channel.should_drop(&mut rng) {
-                        queue.push(
-                            tx_end + channel.sample_latency(&mut rng),
-                            NetEvent::DataArrives { dg, sent_at: start },
-                        );
-                    }
-                }
-            }
-            NetEvent::RtoCheck => {
-                if sender.is_complete() {
-                    continue;
-                }
-                for dg in sender.poll_retransmit(now) {
-                    sent += 1;
-                    let start = link_free_at.max(now);
-                    let tx_end = start + channel.tx_time(dg.len);
-                    link_free_at = tx_end;
-                    if !channel.should_drop(&mut rng) {
-                        queue.push(
-                            tx_end + channel.sample_latency(&mut rng),
-                            NetEvent::DataArrives { dg, sent_at: start },
-                        );
-                    }
-                }
-                let next = sender
-                    .next_rto_deadline()
-                    .unwrap_or(now + config.rto)
-                    .max(now + SimDuration::from_millis(1));
-                queue.push(next, NetEvent::RtoCheck);
-            }
-        }
-    }
-
-    PipelinedStats {
-        completions,
-        total: TransferStats {
-            completion: finish - SimTime::ZERO,
-            datagrams_sent: sent,
-            retransmissions: sender.retransmissions(),
-            bytes: receiver.delivered_bytes(),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,89 +841,6 @@ mod tests {
             }),
         );
         assert_eq!(plain, synced, "tracing must be purely observational");
-    }
-
-    fn frame_messages(n: u64, bytes: usize) -> Vec<(usize, TraceContext)> {
-        (0..n)
-            .map(|f| (bytes, TraceContext::new(77, f, 1)))
-            .collect()
-    }
-
-    #[test]
-    fn pipelined_transfer_keeps_per_message_contexts() {
-        let ch = ChannelModel::lossy(0.05);
-        let msgs = frame_messages(6, 40_000);
-        let stats = simulate_pipelined_transfer(&msgs, &ch, RudpConfig::default(), 21);
-        assert_eq!(stats.completions.len(), 6, "every message must complete");
-        for (i, c) in stats.completions.iter().enumerate() {
-            assert_eq!(
-                c.frame_id, i as u64,
-                "frame id read off the wire must match the enqueued message"
-            );
-            assert_eq!(c.bytes, 40_000);
-        }
-        assert_eq!(stats.total.bytes, 6 * 40_000);
-    }
-
-    #[test]
-    fn pipelined_completions_are_monotone_and_in_order() {
-        let ch = ChannelModel::lossy(0.1);
-        let msgs = frame_messages(8, 25_000);
-        let stats = simulate_pipelined_transfer(&msgs, &ch, RudpConfig::default(), 33);
-        let ids: Vec<u64> = stats.completions.iter().map(|c| c.frame_id).collect();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>(), "in-order reassembly");
-        for pair in stats.completions.windows(2) {
-            assert!(
-                pair[1].completed_at >= pair[0].completed_at,
-                "completion times must be non-decreasing"
-            );
-        }
-        assert_eq!(
-            stats.completions.last().unwrap().completed_at - SimTime::ZERO,
-            stats.total.completion,
-            "last message completion is the whole-run completion"
-        );
-    }
-
-    #[test]
-    fn pipelined_transfer_is_deterministic_per_seed() {
-        let ch = ChannelModel::lossy(0.08);
-        let msgs = frame_messages(5, 30_000);
-        let a = simulate_pipelined_transfer(&msgs, &ch, RudpConfig::default(), 17);
-        let b = simulate_pipelined_transfer(&msgs, &ch, RudpConfig::default(), 17);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn pipelining_beats_sequential_transfers() {
-        // Back-to-back messages keep the window full across message
-        // boundaries; sequential transfers idle the link waiting for
-        // each message's final ack before starting the next.
-        let ch = ChannelModel::lossy(0.05);
-        let cfg = RudpConfig::default();
-        let msgs = frame_messages(6, 60_000);
-        let pipelined = simulate_pipelined_transfer(&msgs, &ch, cfg, 29);
-        let sequential: f64 = (0..6)
-            .map(|i| {
-                simulate_transfer(60_000, &ch, cfg, 29 + i)
-                    .completion
-                    .as_secs_f64()
-            })
-            .sum();
-        assert!(
-            pipelined.total.completion.as_secs_f64() < sequential,
-            "pipelined {:.4}s must beat sequential sum {:.4}s",
-            pipelined.total.completion.as_secs_f64(),
-            sequential
-        );
-    }
-
-    #[test]
-    fn pipelined_empty_input_completes_immediately() {
-        let ch = ChannelModel::wifi_80211n();
-        let stats = simulate_pipelined_transfer(&[], &ch, RudpConfig::default(), 1);
-        assert!(stats.completions.is_empty());
-        assert_eq!(stats.total.bytes, 0);
     }
 
     #[test]

@@ -116,15 +116,6 @@ impl SimDuration {
         SimDuration((secs * 1e6).round() as u64)
     }
 
-    /// Creates a span from a floating-point number of milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `millis` is negative or not finite.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// The span in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
