@@ -62,13 +62,14 @@ fn bench_dispatcher(c: &mut Criterion) {
         b.iter(|| {
             now += SimDuration::from_millis(5);
             seq += 1;
-            let decision = d.dispatch(
+            let decision = d.dispatch_for(
+                0,
                 seq,
                 black_box(64_000_000),
                 SimDuration::from_millis(10),
                 now,
             );
-            d.complete(decision.node, seq);
+            d.complete_for(decision.node, 0, seq);
             black_box(decision)
         })
     });

@@ -40,27 +40,12 @@ pub fn undelta(data: &mut [u8], stride: usize) {
     }
 }
 
-/// Compresses with a stride-`stride` delta prefilter + LZ4; pairs with
-/// [`decompress_filtered`].
+/// Compresses with a stride-`stride` delta prefilter + LZ4; LZ4
+/// decompression then [`undelta`] inverts it.
 pub fn compress_filtered(data: &[u8], stride: usize) -> Vec<u8> {
     let mut filtered = data.to_vec();
     delta(&mut filtered, stride);
     crate::lz4::compress(&filtered)
-}
-
-/// Inverts [`compress_filtered`].
-///
-/// # Errors
-///
-/// Propagates LZ4 decode errors.
-pub fn decompress_filtered(
-    data: &[u8],
-    original_len: usize,
-    stride: usize,
-) -> Result<Vec<u8>, crate::lz4::Lz4Error> {
-    let mut out = crate::lz4::decompress(data, original_len)?;
-    undelta(&mut out, stride);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -89,7 +74,8 @@ mod tests {
         let data = ramp_f32(500);
         for stride in [1usize, 4] {
             let compressed = compress_filtered(&data, stride);
-            let back = decompress_filtered(&compressed, data.len(), stride).unwrap();
+            let mut back = crate::lz4::decompress(&compressed, data.len()).unwrap();
+            undelta(&mut back, stride);
             assert_eq!(back, data);
         }
     }

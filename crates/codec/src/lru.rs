@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use gbooster_sim::hash::{fnv1a, FNV1A_OFFSET};
 use gbooster_telemetry::{names, Counter, Registry};
 
 /// What the sender should transmit for one command.
@@ -89,12 +90,7 @@ impl std::fmt::Debug for CommandCache {
 
 /// Stable 64-bit content hash (FNV-1a) used as the cache key.
 pub fn content_key(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, bytes)
 }
 
 impl CommandCache {
@@ -164,23 +160,10 @@ impl CommandCache {
         }
     }
 
-    /// Receiver side: accepts a token and returns the decoded bytes.
-    ///
-    /// Returns `None` for a [`CacheToken::Ref`] the receiver does not hold
-    /// — a protocol desynchronization (impossible when both sides start
-    /// empty and see the same token stream).
-    pub fn accept(&mut self, token: &CacheToken) -> Option<Vec<u8>> {
-        match token {
-            CacheToken::Ref(key) => self.accept_ref(*key).map(<[u8]>::to_vec),
-            CacheToken::Full(data) => {
-                self.accept_full(data);
-                Some(data.clone())
-            }
-        }
-    }
-
     /// Receiver side of a [`CacheToken::Ref`]: the cached bytes, borrowed,
-    /// or `None` when this cache does not hold `key` (a desync).
+    /// or `None` when this cache does not hold `key` — a protocol
+    /// desynchronization (impossible when both sides start empty and see
+    /// the same token stream).
     pub fn accept_ref(&mut self, key: u64) -> Option<&[u8]> {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let idx = *self.map.get(&key)?;
@@ -357,11 +340,14 @@ mod tests {
             }
         }
         for cmd in &order {
-            let token = sender.offer(cmd);
-            let received = receiver
-                .accept(&token)
-                .expect("receiver must expand every token");
-            assert_eq!(&received, cmd);
+            match sender.offer_ref(cmd) {
+                Some(key) => assert_eq!(
+                    receiver.accept_ref(key),
+                    Some(cmd.as_slice()),
+                    "receiver must expand every ref"
+                ),
+                None => receiver.accept_full(cmd),
+            }
         }
         assert_eq!(sender.len(), receiver.len());
     }
@@ -369,7 +355,7 @@ mod tests {
     #[test]
     fn ref_for_unknown_key_is_detected() {
         let mut receiver = CommandCache::new(4);
-        assert_eq!(receiver.accept(&CacheToken::Ref(0xdead)), None);
+        assert_eq!(receiver.accept_ref(0xdead), None);
     }
 
     #[test]
@@ -418,16 +404,15 @@ mod tests {
         let mut sender = CommandCache::new(32);
         let mut receiver = CommandCache::new(32);
         for i in 0..20u8 {
-            let token = sender.offer(&[i; 6]);
-            receiver.accept(&token).unwrap();
+            assert_eq!(sender.offer_ref(&[i; 6]), None);
+            receiver.accept_full(&[i; 6]);
         }
         // A late joiner cloned from the live receiver must expand every
         // subsequent token, including refs to pre-clone content.
         let mut joiner = receiver.clone();
         for i in 0..20u8 {
-            let token = sender.offer(&[i; 6]);
-            assert!(matches!(token, CacheToken::Ref(_)));
-            assert_eq!(joiner.accept(&token).as_deref(), Some(&[i; 6][..]));
+            let key = sender.offer_ref(&[i; 6]).expect("a ref");
+            assert_eq!(joiner.accept_ref(key), Some(&[i; 6][..]));
         }
         assert_eq!(joiner.len(), sender.len());
     }

@@ -59,13 +59,6 @@ pub struct Lz4Frame {
     pub output_bytes: u64,
 }
 
-impl Lz4Frame {
-    /// Bytes removed by compression (zero when the block grew).
-    pub fn savings(&self) -> u64 {
-        self.input_bytes.saturating_sub(self.output_bytes)
-    }
-}
-
 #[inline]
 fn hash(word: u32) -> usize {
     // Fibonacci hashing on the 4-byte window.

@@ -234,8 +234,7 @@ impl TurboEncoder {
 
     /// Encodes one frame; returns the wire bytes and statistics.
     ///
-    /// The first frame (and any frame after [`TurboEncoder::reset`]) is a
-    /// keyframe carrying every tile.
+    /// The first frame is a keyframe carrying every tile.
     ///
     /// # Panics
     ///
@@ -303,12 +302,6 @@ impl TurboEncoder {
         }
         self.prev_raw = Some(rgba.to_vec());
         (out, stats)
-    }
-
-    /// Forces the next frame to be a keyframe (e.g. after a decoder
-    /// resync request).
-    pub fn reset(&mut self) {
-        self.prev_raw = None;
     }
 }
 
@@ -485,16 +478,6 @@ mod tests {
         assert!(TurboDecoder::new(32, 32)
             .decode(&bytes[..bytes.len() - 3])
             .is_err());
-    }
-
-    #[test]
-    fn reset_forces_keyframe() {
-        let mut enc = TurboEncoder::new(32, 32, 80);
-        let frame = moving_box_frame(32, 32, 0);
-        enc.encode(&frame);
-        enc.reset();
-        let (_, stats) = enc.encode(&frame);
-        assert_eq!(stats.tiles_sent, 4);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use crate::error::GBoosterError;
 /// when a transfer time is added to it.
 pub(crate) const MAX_LOSS_SCALE: f64 = 100.0;
 
-/// Largest accepted side of a render resolution, in pixels.
-const MAX_RENDER_SIDE: u32 = 65_535;
+/// Largest accepted side of a render resolution, in pixels, for
+/// sessions and the fabric alike.
+pub(crate) const MAX_RENDER_SIDE: u32 = 65_535;
 
 /// The application under test: a game from Table II, an app from Table
 /// III, or a custom profile.
@@ -379,15 +380,6 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Shortcut: offload to the given devices with default options.
-    pub fn offload_to(mut self, devices: Vec<DeviceSpec>) -> Self {
-        self.config.mode = ExecutionMode::Offloaded(OffloadConfig {
-            service_devices: devices,
-            ..OffloadConfig::default()
-        });
-        self
-    }
-
     /// Sets the simulated session length.
     pub fn duration_secs(mut self, secs: u64) -> Self {
         self.config.duration_secs = secs;
@@ -436,7 +428,10 @@ mod tests {
     #[test]
     fn offloading_to_a_phone_is_rejected() {
         let err = SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
-            .offload_to(vec![DeviceSpec::lg_g5()])
+            .mode(ExecutionMode::Offloaded(OffloadConfig {
+                service_devices: vec![DeviceSpec::lg_g5()],
+                ..OffloadConfig::default()
+            }))
             .try_build()
             .unwrap_err();
         assert!(matches!(err, GBoosterError::Config(_)));
@@ -445,7 +440,10 @@ mod tests {
     #[test]
     fn empty_device_list_is_rejected() {
         let err = SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
-            .offload_to(vec![])
+            .mode(ExecutionMode::Offloaded(OffloadConfig {
+                service_devices: vec![],
+                ..OffloadConfig::default()
+            }))
             .try_build()
             .unwrap_err();
         assert!(matches!(err, GBoosterError::Config(_)));
@@ -501,7 +499,10 @@ mod tests {
             let mut cfg =
                 SessionConfig::builder(GameTitle::g2_modern_combat(), DeviceSpec::nexus5())
                     .duration_secs(secs)
-                    .offload_to(vec![DeviceSpec::nvidia_shield()])
+                    .mode(ExecutionMode::Offloaded(OffloadConfig {
+                        service_devices: vec![DeviceSpec::nvidia_shield()],
+                        ..OffloadConfig::default()
+                    }))
                     .build();
             cfg.predictor_window_ms = window_ms;
             cfg.validate()

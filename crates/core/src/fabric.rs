@@ -52,7 +52,7 @@ use gbooster_workload::tracegen::TraceGenerator;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::MAX_LOSS_SCALE;
+use crate::config::{MAX_LOSS_SCALE, MAX_RENDER_SIDE};
 use crate::error::GBoosterError;
 use crate::forward::CommandForwarder;
 use crate::rebalance::{assign_destinations, RebalancePolicy, Rebalancer};
@@ -213,7 +213,8 @@ pub struct FabricConfig {
     pub admission: AdmissionControl,
     /// Link loss scale (0 = clean; 1 = nominal lossy; at most 100).
     pub loss_scale: f64,
-    /// Per-tenant stream resolution (width, height).
+    /// Per-tenant stream resolution (width, height), each side in
+    /// `1..=65_535`.
     pub resolution: (u32, u32),
     /// Scheduled pool faults, in time order.
     pub events: Vec<PoolEvent>,
@@ -275,8 +276,9 @@ impl FabricConfig {
     /// # Errors
     ///
     /// Returns [`GBoosterError::Config`] on an empty pool, no
-    /// tenants, a non-positive duration, broken per-tenant numbers, or
-    /// a `loss_scale` outside `[0, 100]`.
+    /// tenants, a non-positive duration, broken per-tenant numbers, a
+    /// `loss_scale` outside `[0, 100]`, or a resolution side outside
+    /// `1..=65_535`.
     pub fn validate(&self) -> Result<(), GBoosterError> {
         let fail = |msg: String| Err(GBoosterError::Config(msg));
         if self.pool.is_empty() {
@@ -312,8 +314,10 @@ impl FabricConfig {
             ));
         }
         let (w, h) = self.resolution;
-        if w == 0 || h == 0 {
-            return fail("resolution must be non-zero".into());
+        if !(1..=MAX_RENDER_SIDE).contains(&w) || !(1..=MAX_RENDER_SIDE).contains(&h) {
+            return fail(format!(
+                "resolution {w}x{h} needs each side in 1..={MAX_RENDER_SIDE}"
+            ));
         }
         for ev in &self.events {
             let node = ev.parts().1;
@@ -2229,6 +2233,18 @@ mod tests {
         let mut cfg = FabricConfig::uniform(2, small_pool(), 23);
         cfg.loss_scale = 1e300;
         assert!(SessionManager::run(&cfg).is_err());
+    }
+
+    #[test]
+    fn resolution_sides_are_bounded() {
+        let with = |resolution| FabricConfig {
+            resolution,
+            ..FabricConfig::uniform(1, small_pool(), 29)
+        };
+        for bad in [(0, 1), (65_536, 1), (u32::MAX, u32::MAX)] {
+            assert!(with(bad).validate().is_err(), "{bad:?} must be rejected");
+        }
+        with((65_535, 65_535)).validate().unwrap();
     }
 
     #[test]

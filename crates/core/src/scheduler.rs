@@ -8,7 +8,7 @@
 //!   (render + encode), so a node whose encoder dominates its service
 //!   time is scored by what it actually delivers, not its raw fillrate.
 //! * Per-node outstanding-request queues: every dispatched frame stays
-//!   on the node's queue until [`Dispatcher::complete`] retires it, so a
+//!   on the node's queue until [`Dispatcher::complete_for`] retires it, so a
 //!   failed node knows exactly which in-flight frames to orphan
 //!   ([`Dispatcher::fail_node`]).
 //! * [`ReorderBuffer`] — "our system keeps track of the sequence numbers
@@ -42,7 +42,7 @@ const MAX_SERVICE_SECS: f64 = 3600.0;
 /// fixes); every queue entry therefore carries its session id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FrameKey {
-    /// Originating session (0 for the legacy single-session API).
+    /// Originating session (0 for a single-session engine).
     pub session: u64,
     /// Frame sequence number within that session.
     pub seq: u64,
@@ -99,18 +99,13 @@ impl ServiceNode {
         }
     }
 
-    /// Requests this node has served.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
     /// The instant this node's queue drains.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
     }
 
     /// Frames dispatched here and not yet retired via
-    /// [`Dispatcher::complete`].
+    /// [`Dispatcher::complete_for`].
     pub fn outstanding(&self) -> usize {
         self.outstanding.len()
     }
@@ -205,11 +200,11 @@ pub struct DispatchDecision {
 ///     ServiceNode::new(DeviceSpec::minix_neo_u1(), SimDuration::from_millis(2)),
 /// ]);
 /// // With equal queues and latency, the faster Shield wins.
-/// let decision = d.dispatch(0, 10_000_000, SimDuration::ZERO, SimTime::ZERO);
+/// let decision = d.dispatch_for(0, 0, 10_000_000, SimDuration::ZERO, SimTime::ZERO);
 /// assert_eq!(decision.node, 0);
 /// // The frame stays on the node's outstanding queue until retired.
 /// assert_eq!(d.nodes()[0].outstanding(), 1);
-/// d.complete(decision.node, 0);
+/// d.complete_for(decision.node, 0, 0);
 /// assert_eq!(d.nodes()[0].outstanding(), 0);
 /// ```
 #[derive(Clone, Debug)]
@@ -253,31 +248,16 @@ impl Dispatcher {
         self.nodes.iter().filter(|n| n.alive).count()
     }
 
-    /// Dispatches frame `seq` with workload `r_fill` (complexity-weighted
-    /// pixels) arriving at `now`; `extra_service` is per-request work
-    /// beyond raster fill (frame encoding) spent on the chosen node.
+    /// Dispatches frame `seq` of `session` with workload `r_fill`
+    /// (complexity-weighted pixels) arriving at `now`; `extra_service` is
+    /// per-request work beyond raster fill (frame encoding) spent on the
+    /// chosen node.
     ///
     /// Applies Eq. 4 against each node's *predicted* rate, books the
     /// chosen node's queue with its ground-truth service time, and
-    /// appends `seq` to its outstanding queue. The booking is fed back
-    /// into the node's rate forecaster so future scores track the
+    /// appends the frame to its outstanding queue. The booking is fed
+    /// back into the node's rate forecaster so future scores track the
     /// effective (render + encode) rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every node has failed.
-    pub fn dispatch(
-        &mut self,
-        seq: u64,
-        r_fill: u64,
-        extra_service: SimDuration,
-        now: SimTime,
-    ) -> DispatchDecision {
-        self.dispatch_for(0, seq, r_fill, extra_service, now)
-    }
-
-    /// Session-qualified [`Self::dispatch`]: scores every node with
-    /// Eq. 4 and books the winner for frame `seq` of `session`.
     ///
     /// # Panics
     ///
@@ -354,15 +334,9 @@ impl Dispatcher {
         }
     }
 
-    /// Retires frame `seq` from node `node`'s outstanding queue (its
-    /// result has been received back on the user device). Legacy
-    /// single-session form of [`Self::complete_for`] (session 0).
-    pub fn complete(&mut self, node: usize, seq: u64) {
-        self.complete_for(node, 0, seq);
-    }
-
     /// Retires frame `seq` of `session` from node `node`'s outstanding
-    /// queue. Only that session's entry is removed: other tenants'
+    /// queue (its result has been received back on the user device).
+    /// Only that session's entry is removed: other tenants'
     /// frames that happen to carry the same sequence number stay in
     /// flight (see [`FrameKey`]).
     pub fn complete_for(&mut self, node: usize, session: u64, seq: u64) {
@@ -551,7 +525,7 @@ mod tests {
             ServiceNode::new(DeviceSpec::minix_neo_u1(), SimDuration::from_millis(2)),
             ServiceNode::new(DeviceSpec::nvidia_shield(), SimDuration::from_millis(2)),
         ]);
-        let decision = d.dispatch(0, 50_000_000, SimDuration::ZERO, SimTime::ZERO);
+        let decision = d.dispatch_for(0, 0, 50_000_000, SimDuration::ZERO, SimTime::ZERO);
         assert_eq!(decision.node, 1, "shield (16 GP/s) beats minix (6 GP/s)");
     }
 
@@ -560,8 +534,8 @@ mod tests {
         let mut d = two_nodes();
         // Saturate node 0 with several big requests.
         let big = 100_000_000u64;
-        let first = d.dispatch(0, big, SimDuration::ZERO, SimTime::ZERO);
-        let second = d.dispatch(1, big, SimDuration::ZERO, SimTime::ZERO);
+        let first = d.dispatch_for(0, 0, big, SimDuration::ZERO, SimTime::ZERO);
+        let second = d.dispatch_for(0, 1, big, SimDuration::ZERO, SimTime::ZERO);
         assert_ne!(
             first.node, second.node,
             "Eq. 4 must divert around the backlog"
@@ -576,14 +550,14 @@ mod tests {
         ]);
         // A tiny request: render-time difference (micros) is dwarfed by
         // the 50 ms RTT, so the slower-but-closer node wins.
-        let decision = d.dispatch(0, 10_000, SimDuration::ZERO, SimTime::ZERO);
+        let decision = d.dispatch_for(0, 0, 10_000, SimDuration::ZERO, SimTime::ZERO);
         assert_eq!(decision.node, 1);
     }
 
     #[test]
     fn queue_advances_busy_until() {
         let mut d = two_nodes();
-        let a = d.dispatch(0, 16_000_000, SimDuration::from_millis(5), SimTime::ZERO);
+        let a = d.dispatch_for(0, 0, 16_000_000, SimDuration::from_millis(5), SimTime::ZERO);
         assert!(a.finish > a.start);
         let served: u64 = d.served_counts().iter().sum();
         assert_eq!(served, 1);
@@ -601,7 +575,7 @@ mod tests {
         // Requests arrive faster than any single node can serve them
         // (14 ms service, 5 ms spacing), so Eq. 4 must fan out to all 3.
         for seq in 0..30 {
-            d.dispatch(seq, 64_000_000, SimDuration::from_millis(10), now);
+            d.dispatch_for(0, seq, 64_000_000, SimDuration::from_millis(10), now);
             now += SimDuration::from_millis(5);
         }
         let counts = d.served_counts();
@@ -621,7 +595,7 @@ mod tests {
         // must converge well below the raw fillrate.
         let mut now = SimTime::ZERO;
         for seq in 0..40 {
-            let dec = d.dispatch(seq, 64_000_000, SimDuration::from_millis(20), now);
+            let dec = d.dispatch_for(0, seq, 64_000_000, SimDuration::from_millis(20), now);
             now = dec.finish;
         }
         let predicted = d.nodes()[0].predicted_rate();
@@ -634,12 +608,12 @@ mod tests {
     #[test]
     fn outstanding_queue_tracks_in_flight_frames() {
         let mut d = two_nodes();
-        let a = d.dispatch(0, 16_000_000, SimDuration::ZERO, SimTime::ZERO);
-        let b = d.dispatch(1, 16_000_000, SimDuration::ZERO, SimTime::ZERO);
+        let a = d.dispatch_for(0, 0, 16_000_000, SimDuration::ZERO, SimTime::ZERO);
+        let b = d.dispatch_for(0, 1, 16_000_000, SimDuration::ZERO, SimTime::ZERO);
         let total: usize = d.nodes().iter().map(|n| n.outstanding()).sum();
         assert_eq!(total, 2);
-        d.complete(a.node, 0);
-        d.complete(b.node, 1);
+        d.complete_for(a.node, 0, 0);
+        d.complete_for(b.node, 0, 1);
         let total: usize = d.nodes().iter().map(|n| n.outstanding()).sum();
         assert_eq!(total, 0);
     }
@@ -651,7 +625,7 @@ mod tests {
         let big = 200_000_000u64;
         let mut on_zero = Vec::new();
         for seq in 0..8 {
-            let dec = d.dispatch(seq, big, SimDuration::from_millis(5), SimTime::ZERO);
+            let dec = d.dispatch_for(0, seq, big, SimDuration::from_millis(5), SimTime::ZERO);
             if dec.node == 0 {
                 on_zero.push(seq);
             }
@@ -670,7 +644,7 @@ mod tests {
         assert_eq!(d.nodes()[0].busy_until(), t_fail);
         // Orphans re-dispatch onto the surviving node only.
         for seq in orphans {
-            let dec = d.dispatch(seq, big, SimDuration::ZERO, t_fail);
+            let dec = d.dispatch_for(0, seq, big, SimDuration::ZERO, t_fail);
             assert_eq!(dec.node, 1, "dead node must never win a dispatch");
         }
     }
@@ -689,7 +663,7 @@ mod tests {
     fn cordoned_node_drains_but_never_wins_a_dispatch() {
         let mut d = two_nodes();
         // Put one frame in flight on node 0, then cordon it.
-        let dec = d.dispatch(0, 1_000_000, SimDuration::ZERO, SimTime::ZERO);
+        let dec = d.dispatch_for(0, 0, 1_000_000, SimDuration::ZERO, SimTime::ZERO);
         d.cordon_node(dec.node, true);
         let n = &d.nodes()[dec.node];
         assert!(n.alive(), "cordoned node stays alive");
@@ -700,7 +674,7 @@ mod tests {
             "cordoned score must route traffic elsewhere"
         );
         // The in-flight frame drains normally.
-        d.complete(dec.node, 0);
+        d.complete_for(dec.node, 0, 0);
         assert_eq!(d.nodes()[dec.node].outstanding(), 0);
         // best_idle_node skips the cordoned node even when idle.
         let late = SimTime::from_secs(10);
@@ -746,10 +720,10 @@ mod tests {
         assert_eq!(d.alive_nodes(), 2);
         // Inside the warm-up window the phantom backlog keeps traffic on
         // the slower-but-settled node...
-        let early = d.dispatch(0, 50_000_000, SimDuration::ZERO, t0);
+        let early = d.dispatch_for(0, 0, 50_000_000, SimDuration::ZERO, t0);
         assert_eq!(early.node, 1, "warm-up must shield the rejoined node");
         // ...and once it expires the faster node wins again.
-        let late = d.dispatch(1, 50_000_000, SimDuration::ZERO, t0 + warmup * 2);
+        let late = d.dispatch_for(0, 1, 50_000_000, SimDuration::ZERO, t0 + warmup * 2);
         assert_eq!(late.node, 0, "warm-up must decay, not persist");
     }
 
@@ -759,17 +733,17 @@ mod tests {
             ServiceNode::new(DeviceSpec::nvidia_shield(), SimDuration::from_millis(2)),
             ServiceNode::new(DeviceSpec::minix_neo_u1(), SimDuration::from_millis(2)),
         ]);
-        let before = d.dispatch(0, 50_000_000, SimDuration::ZERO, SimTime::ZERO);
+        let before = d.dispatch_for(0, 0, 50_000_000, SimDuration::ZERO, SimTime::ZERO);
         assert_eq!(before.node, 0, "shield wins at full capability");
-        d.complete(0, 0);
+        d.complete_for(0, 0, 0);
         // Brown the shield out to 10%: slower than the minix now. The
         // forecaster needs a few bookings to track the new ground truth.
         d.degrade_node(0, 0.1);
         let mut now = SimTime::from_secs(1);
         let mut last = 0;
         for seq in 1..12 {
-            let dec = d.dispatch(seq, 50_000_000, SimDuration::ZERO, now);
-            d.complete(dec.node, seq);
+            let dec = d.dispatch_for(0, seq, 50_000_000, SimDuration::ZERO, now);
+            d.complete_for(dec.node, 0, seq);
             now = dec.finish.max(now);
             last = dec.node;
         }
@@ -783,7 +757,7 @@ mod tests {
         d.attach_registry(&registry);
         let big = 100_000_000u64;
         for seq in 0..6 {
-            d.dispatch(seq, big, SimDuration::ZERO, SimTime::ZERO);
+            d.dispatch_for(0, seq, big, SimDuration::ZERO, SimTime::ZERO);
         }
         let snap = registry.snapshot();
         assert_eq!(snap.counter(names::sched::REQUESTS), 6);

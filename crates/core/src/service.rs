@@ -92,7 +92,6 @@ fn command_in_bounds(ctx: &GlContext, cmd: &GlCommand) -> bool {
 /// One service device's GBooster runtime.
 #[derive(Debug)]
 pub struct ServiceRuntime {
-    spec: DeviceSpec,
     gpu: GpuModel,
     context: GlContext,
     receiver: ServiceReceiver,
@@ -110,8 +109,7 @@ impl ServiceRuntime {
     /// Boots the runtime on `spec`.
     pub fn new(spec: DeviceSpec) -> Self {
         ServiceRuntime {
-            gpu: GpuModel::new(spec.gpu.clone()),
-            spec,
+            gpu: GpuModel::new(spec.gpu),
             context: GlContext::new(),
             receiver: ServiceReceiver::new(),
             frames_rendered: 0,
@@ -162,11 +160,6 @@ impl ServiceRuntime {
             registry.histogram(names::service::ENCODE_TIME),
         ));
         self.rejected = Some(registry.counter(names::service::REJECTED_COMMANDS));
-    }
-
-    /// The hardware description.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
     }
 
     /// The GL context replica.
@@ -331,27 +324,11 @@ impl ServiceRuntime {
         self.context.digest()
     }
 
-    /// One-shot rejoin resync: replaces this device's GL replica with a
-    /// restored `snapshot` of the reference state and adopts `receiver`
-    /// (a clone of a synchronized peer's decoder, so LRU `Ref` tokens in
-    /// subsequent frames resolve). After this call the device is current
-    /// without replaying any command history — the wire cost is the
-    /// snapshot transfer, accounted by the caller from
-    /// `StateSnapshot::wire_bytes`.
-    pub fn resync(
-        &mut self,
-        snapshot: &gbooster_gles::state::StateSnapshot,
-        receiver: ServiceReceiver,
-    ) {
-        self.context = GlContext::restore(snapshot);
-        self.receiver = receiver;
-    }
-
     /// Delta-aware resync for a destination that already holds a
     /// replica of `resident` — the title's immutable setup segment,
     /// cached by the shared-segment machinery or surviving a restart
-    /// content-addressed on disk. The restored GL state is identical to
-    /// a full [`ServiceRuntime::resync`], but only the per-session delta
+    /// content-addressed on disk. The GL replica becomes a restored
+    /// `snapshot` of the reference state, but only the per-session delta
     /// travels; the returned value is the billable wire cost
     /// (`StateSnapshot::delta_wire_bytes`), which the caller charges to
     /// the uplink. The bytes *not* shipped belong in
@@ -367,21 +344,6 @@ impl ServiceRuntime {
     ) -> u64 {
         self.context = GlContext::restore(snapshot);
         snapshot.delta_wire_bytes(resident)
-    }
-
-    /// Advances the service GPU's thermal/energy model (it never throttles
-    /// thanks to active cooling; asserted in tests).
-    pub fn gpu_tick(&mut self, dt: SimDuration, utilization: f64) {
-        self.gpu.step(dt, utilization);
-        debug_assert!(
-            !self.gpu.is_throttled(),
-            "actively-cooled service GPU must not throttle"
-        );
-    }
-
-    /// True if this device's GPU is currently thermally throttled.
-    pub fn is_throttled(&self) -> bool {
-        self.gpu.is_throttled()
     }
 }
 
@@ -447,33 +409,6 @@ mod tests {
         let stats = replica.apply_frame(&cmds, false).unwrap();
         assert_eq!(stats.draws_executed, 0);
         assert!(stats.commands_applied > 0);
-    }
-
-    #[test]
-    fn resynced_replacement_tracks_the_stream_without_history_replay() {
-        let (frames, _) = forwarded_frames(30);
-        let mut veteran = ServiceRuntime::new(DeviceSpec::nvidia_shield());
-        // The veteran ingests the whole history; cache Refs abound.
-        let (head, tail) = frames.split_at(frames.len() - 5);
-        for wire in head {
-            let cmds = veteran.decode(wire).unwrap();
-            veteran.apply_frame(&cmds, true).unwrap();
-        }
-        // A replacement node joins late: one snapshot + receiver clone,
-        // zero history replay.
-        let mut rookie = ServiceRuntime::new(DeviceSpec::minix_neo_u1());
-        let snap = veteran.context().snapshot();
-        rookie.resync(&snap, veteran.receiver.clone());
-        assert_eq!(rookie.state_digest(), veteran.state_digest());
-        // Both stay in lockstep across the remaining frames, Refs and all.
-        for wire in tail {
-            let a = veteran.decode(wire).unwrap();
-            let b = rookie.decode(wire).unwrap();
-            assert_eq!(a, b);
-            veteran.apply_frame(&a, true).unwrap();
-            rookie.apply_frame(&b, true).unwrap();
-        }
-        assert_eq!(rookie.state_digest(), veteran.state_digest());
     }
 
     #[test]
@@ -682,14 +617,5 @@ mod tests {
         assert_eq!(spans[0].start_us, 70_000);
         assert_eq!(spans[0].end_us, 74_000);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn service_gpu_never_throttles_under_sustained_load() {
-        let mut rt = ServiceRuntime::new(DeviceSpec::nvidia_shield());
-        for _ in 0..1800 {
-            rt.gpu_tick(SimDuration::from_secs(1), 1.0);
-        }
-        assert!(!rt.is_throttled());
     }
 }

@@ -409,7 +409,7 @@ fn run_local(config: &SessionConfig) -> SessionReport {
             thermal_compression(config.duration_secs),
         ),
     );
-    let mut display = Display::new(60, w, h);
+    let mut display = Display::new(60);
     let mut fps = FpsRecorder::new();
     let mut meter = PowerMeter::new();
     let mut ledger = CpuLedger::new(dev.cpu.cores);
@@ -603,7 +603,6 @@ struct ArrivedFrame {
 struct OffloadEngine {
     // Pipeline components.
     gen: TraceGenerator,
-    interceptor: Interceptor,
     forwarder: CommandForwarder,
     runtimes: Vec<ServiceRuntime>,
     dispatcher: Dispatcher,
@@ -766,9 +765,6 @@ impl OffloadEngine {
         let seq = self.next_seq;
         self.next_seq += 1;
         let trace = self.gen.next_frame(self.dt_est);
-        for cmd in &trace.commands {
-            self.interceptor.intercept(cmd);
-        }
         // This frame's trace context, carried (conceptually) in every
         // datagram the frame produces on the wire.
         let ctx = TraceContext::new(self.session_id, seq, 1);
@@ -1536,8 +1532,7 @@ fn run_offloaded(
     let host_prof_install = prof::install(&host_prof);
 
     // 1. Install hooks and verify complete interception coverage.
-    let mut interceptor = Interceptor::install();
-    interceptor.verify_coverage()?;
+    Interceptor::install().verify_coverage()?;
 
     let (w, h) = off.render_resolution;
     let frame_pixels = w as u64 * h as u64;
@@ -1566,7 +1561,7 @@ fn run_offloaded(
         SimDuration::from_millis(config.predictor_window_ms),
     );
     transport.set_loss_scale(off.loss_scale);
-    let display = Display::new(60, w, h);
+    let display = Display::new(60);
     let fps = FpsRecorder::new();
     let mut meter = PowerMeter::new();
     let ledger = CpuLedger::new(dev.cpu.cores);
@@ -1621,9 +1616,6 @@ fn run_offloaded(
 
     // 2. Ship the setup stream to every device (pure state: replicated).
     let setup = gen.setup_trace();
-    for cmd in &setup.commands {
-        interceptor.intercept(cmd);
-    }
     let setup_wire = forwarder.forward_frame(&setup.commands, gen.client_memory())?;
     let first_up = transport.send(setup_wire.wire.len(), SimTime::ZERO);
     // Phone-side reference: the one decoder of the wire stream. Replicas
@@ -1651,7 +1643,6 @@ fn run_offloaded(
     // then drain the frames still in flight.
     let mut engine = OffloadEngine {
         gen,
-        interceptor,
         forwarder,
         runtimes,
         dispatcher,
@@ -2299,11 +2290,14 @@ mod tests {
     #[test]
     fn multi_device_requests_are_distributed() {
         let cfg = short(GameTitle::g1_gta_san_andreas(), DeviceSpec::nexus5())
-            .offload_to(vec![
-                DeviceSpec::nvidia_shield(),
-                DeviceSpec::dell_optiplex_9010(),
-                DeviceSpec::dell_m4600(),
-            ])
+            .mode(ExecutionMode::Offloaded(OffloadConfig {
+                service_devices: vec![
+                    DeviceSpec::nvidia_shield(),
+                    DeviceSpec::dell_optiplex_9010(),
+                    DeviceSpec::dell_m4600(),
+                ],
+                ..OffloadConfig::default()
+            }))
             .build();
         let report = Session::run(&cfg);
         assert_eq!(report.per_device_requests.len(), 3);

@@ -7,7 +7,7 @@
 //! forecasts the next window's demand and the manager pre-wakes or parks
 //! the WiFi radio accordingly.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use gbooster_forecast::predictor::TrafficPredictor;
 use gbooster_net::switch::{InterfaceManager, Route, SwitchStats};
@@ -88,10 +88,9 @@ pub struct TransportManager {
     /// 1.0 the excess expected retransmissions cost a deterministic
     /// recovery stall on every transfer.
     loss_scale: f64,
-    /// Frames with traced transfers currently in flight on this path,
-    /// keyed by display sequence (the pipelined session overlaps
-    /// several).
-    inflight: BTreeMap<u64, TraceContext>,
+    /// Display sequences of the frames with traced transfers currently
+    /// in flight on this path (the pipelined session overlaps several).
+    inflight: BTreeSet<u64>,
     inflight_peak: usize,
     /// Ground-truth (service − user) clock skew applied to the ack
     /// timestamps the service device stamps (µs; set by the session
@@ -143,7 +142,7 @@ impl TransportManager {
             windows_observed: 0,
             retransmit_carry: 0.0,
             loss_scale: 1.0,
-            inflight: BTreeMap::new(),
+            inflight: BTreeSet::new(),
             inflight_peak: 0,
             true_clock_offset_us: 0,
             clock: ClockOffsetEstimator::new(),
@@ -205,18 +204,13 @@ impl TransportManager {
     /// retired by [`TransportManager::end_frame_transfer`] when its
     /// result is presented.
     pub fn begin_frame_transfer(&mut self, ctx: TraceContext) {
-        self.inflight.insert(ctx.frame_id, ctx);
+        self.inflight.insert(ctx.frame_id);
         self.inflight_peak = self.inflight_peak.max(self.inflight.len());
     }
 
     /// Retires frame `seq`'s transfers from the in-flight set.
     pub fn end_frame_transfer(&mut self, seq: u64) {
         self.inflight.remove(&seq);
-    }
-
-    /// Frames with transfers currently in flight.
-    pub fn inflight_frames(&self) -> usize {
-        self.inflight.len()
     }
 
     /// High-water mark of concurrently in-flight frames.
@@ -696,21 +690,19 @@ mod tests {
     #[test]
     fn inflight_frame_contexts_track_the_pipeline_window() {
         let mut t = TransportManager::new(true, window());
-        assert_eq!(t.inflight_frames(), 0);
         for seq in 0..4u64 {
             t.begin_frame_transfer(TraceContext::new(7, seq, 1));
         }
-        assert_eq!(t.inflight_frames(), 4);
         t.end_frame_transfer(0);
         t.end_frame_transfer(2);
-        assert_eq!(t.inflight_frames(), 2);
         // Re-registering an open frame is idempotent.
         t.begin_frame_transfer(TraceContext::new(7, 3, 2));
-        assert_eq!(t.inflight_frames(), 2);
-        t.end_frame_transfer(1);
-        t.end_frame_transfer(3);
-        assert_eq!(t.inflight_frames(), 0);
         assert_eq!(t.inflight_peak(), 4);
+        // Two frames stay open, so three more set a peak of five.
+        for seq in 4..7u64 {
+            t.begin_frame_transfer(TraceContext::new(7, seq, 1));
+        }
+        assert_eq!(t.inflight_peak(), 5);
     }
 
     #[test]

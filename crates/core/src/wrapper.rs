@@ -103,11 +103,6 @@ impl Interceptor {
     pub fn intercepted_calls(&self) -> u64 {
         self.intercepted_calls
     }
-
-    /// The underlying hook engine (for telemetry).
-    pub fn hooks(&self) -> &HookEngine {
-        &self.hooks
-    }
 }
 
 impl Default for Interceptor {

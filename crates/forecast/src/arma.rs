@@ -57,16 +57,6 @@ impl ArmaModel {
         }
     }
 
-    /// Autoregressive order.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Moving-average order.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
     /// Number of parameters (for AIC).
     pub fn param_count(&self) -> usize {
         self.p + self.q + 1
@@ -109,39 +99,6 @@ impl ArmaModel {
         }
         err
     }
-
-    /// Iterated h-step forecast (`h ≥ 1`): future innovations are taken
-    /// as zero, per minimum-MSFE forecasting (Eq. 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h == 0`.
-    pub fn forecast(&self, h: usize) -> f64 {
-        assert!(h > 0, "horizon must be at least 1");
-        let mut y_hist = self.y_hist.clone();
-        let mut e_hist = self.e_hist.clone();
-        let mut last = 0.0;
-        for _ in 0..h {
-            let mut x = Vec::with_capacity(self.p + self.q + 1);
-            for i in 0..self.p {
-                x.push(y_hist.get(i).copied().unwrap_or(0.0));
-            }
-            for i in 0..self.q {
-                x.push(e_hist.get(i).copied().unwrap_or(0.0));
-            }
-            x.push(1.0);
-            last = self.rls.predict(&x);
-            y_hist.push_front(last);
-            if y_hist.len() > self.p.max(1) {
-                y_hist.pop_back();
-            }
-            e_hist.push_front(0.0); // E[ε_future] = 0
-            if e_hist.len() > self.q.max(1) {
-                e_hist.pop_back();
-            }
-        }
-        last
-    }
 }
 
 #[cfg(test)]
@@ -172,20 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_step_forecast_tracks_trend() {
-        // Deterministic ramp: y_t = y_{t-1} + 1 is AR(1) with intercept.
-        let mut model = ArmaModel::new(1, 0);
-        for t in 0..500 {
-            model.observe(t as f64);
-        }
-        let f1 = model.forecast(1);
-        let f5 = model.forecast(5);
-        assert!((f1 - 500.0).abs() < 5.0, "f1 {f1}");
-        assert!((f5 - 504.0).abs() < 10.0, "f5 {f5}");
-        assert!(f5 > f1);
-    }
-
-    #[test]
     fn ma_terms_capture_shock_echo() {
         // ARMA(0,1) on an MA(1)-ish series should not blow up and should
         // produce finite forecasts.
@@ -206,19 +149,11 @@ mod tests {
     fn forecast_before_any_data_is_finite() {
         let model = ArmaModel::new(2, 1);
         assert!(model.forecast_next().is_finite());
-        assert!(model.forecast(3).is_finite());
     }
 
     #[test]
     #[should_panic(expected = "at least one term")]
     fn zero_order_panics() {
         let _ = ArmaModel::new(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "horizon")]
-    fn zero_horizon_panics() {
-        let model = ArmaModel::new(1, 0);
-        let _ = model.forecast(0);
     }
 }

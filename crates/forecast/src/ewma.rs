@@ -38,11 +38,6 @@ impl Ewma {
         Ewma { alpha, level: None }
     }
 
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Feeds one observation.
     ///
     /// # Panics

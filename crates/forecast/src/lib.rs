@@ -10,7 +10,6 @@
 //! exogenous inputs — touchstroke frequency and per-frame texture count,
 //! selected by Akaike Information Criterion — reaching FN 17 % / FP 23 %.
 //!
-//! * [`series`] — time-series summary statistics.
 //! * [`rls`] — recursive least squares with forgetting factor, the
 //!   "recursive algorithm for online estimating and updating" (ref \[30\]).
 //! * [`ewma`] — the naive exponential-smoothing baseline.
@@ -26,7 +25,6 @@ pub mod armax;
 pub mod ewma;
 pub mod predictor;
 pub mod rls;
-pub mod series;
 
 pub use arma::ArmaModel;
 pub use armax::ArmaxModel;

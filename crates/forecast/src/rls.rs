@@ -62,11 +62,6 @@ impl Rls {
         }
     }
 
-    /// Number of regressors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Current parameter estimate θ.
     pub fn theta(&self) -> &[f64] {
         &self.theta

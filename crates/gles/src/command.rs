@@ -331,56 +331,6 @@ impl GlCommand {
         // 2-byte opcode + ~14 bytes of fixed parameters on average.
         16 + bulk
     }
-
-    /// A short stable mnemonic for logging and cache keys.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            GlCommand::GenTexture(_) => "glGenTextures",
-            GlCommand::DeleteTexture(_) => "glDeleteTextures",
-            GlCommand::GenBuffer(_) => "glGenBuffers",
-            GlCommand::DeleteBuffer(_) => "glDeleteBuffers",
-            GlCommand::GenFramebuffer(_) => "glGenFramebuffers",
-            GlCommand::DeleteFramebuffer(_) => "glDeleteFramebuffers",
-            GlCommand::CreateShader(..) => "glCreateShader",
-            GlCommand::ShaderSource { .. } => "glShaderSource",
-            GlCommand::CompileShader(_) => "glCompileShader",
-            GlCommand::DeleteShader(_) => "glDeleteShader",
-            GlCommand::CreateProgram(_) => "glCreateProgram",
-            GlCommand::AttachShader { .. } => "glAttachShader",
-            GlCommand::LinkProgram(_) => "glLinkProgram",
-            GlCommand::UseProgram(_) => "glUseProgram",
-            GlCommand::DeleteProgram(_) => "glDeleteProgram",
-            GlCommand::BindBuffer { .. } => "glBindBuffer",
-            GlCommand::BufferData { .. } => "glBufferData",
-            GlCommand::BufferSubData { .. } => "glBufferSubData",
-            GlCommand::ActiveTexture(_) => "glActiveTexture",
-            GlCommand::BindTexture { .. } => "glBindTexture",
-            GlCommand::TexImage2D { .. } => "glTexImage2D",
-            GlCommand::TexSubImage2D { .. } => "glTexSubImage2D",
-            GlCommand::TexParameter { .. } => "glTexParameteri",
-            GlCommand::BindFramebuffer(_) => "glBindFramebuffer",
-            GlCommand::FramebufferTexture2D { .. } => "glFramebufferTexture2D",
-            GlCommand::Enable(_) => "glEnable",
-            GlCommand::Disable(_) => "glDisable",
-            GlCommand::BlendFunc { .. } => "glBlendFunc",
-            GlCommand::DepthFunc(_) => "glDepthFunc",
-            GlCommand::DepthMask(_) => "glDepthMask",
-            GlCommand::ClearColor { .. } => "glClearColor",
-            GlCommand::ClearDepth(_) => "glClearDepthf",
-            GlCommand::Viewport { .. } => "glViewport",
-            GlCommand::Scissor { .. } => "glScissor",
-            GlCommand::Uniform { .. } => "glUniform",
-            GlCommand::EnableVertexAttribArray(_) => "glEnableVertexAttribArray",
-            GlCommand::DisableVertexAttribArray(_) => "glDisableVertexAttribArray",
-            GlCommand::VertexAttribPointer { .. } => "glVertexAttribPointer",
-            GlCommand::Clear(_) => "glClear",
-            GlCommand::DrawArrays { .. } => "glDrawArrays",
-            GlCommand::DrawElements { .. } => "glDrawElements",
-            GlCommand::Finish => "glFinish",
-            GlCommand::Flush => "glFlush",
-            GlCommand::SwapBuffers => "eglSwapBuffers",
-        }
-    }
 }
 
 /// Simulated application (client) memory.
@@ -441,12 +391,6 @@ impl ClientMemory {
                 region.len()
             ))
         })
-    }
-
-    /// Total bytes currently allocated (memory-overhead accounting,
-    /// Section VII-G).
-    pub fn allocated_bytes(&self) -> usize {
-        self.regions.values().map(|r| r.len()).sum()
     }
 
     /// Frees the region at `ptr`. Unknown pointers are ignored.
@@ -533,7 +477,6 @@ mod tests {
         let data: Vec<u8> = (0..=255).collect();
         let ptr = mem.alloc(data.clone());
         assert_eq!(mem.read(ptr, 256).unwrap(), &data[..]);
-        assert_eq!(mem.allocated_bytes(), 256);
         mem.free(ptr);
         assert!(mem.read(ptr, 1).is_err());
     }
@@ -553,11 +496,5 @@ mod tests {
         let b = mem.alloc(vec![1; 4]);
         assert_ne!(a, b);
         assert_eq!(mem.read(b, 4).unwrap(), &[1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn mnemonics_are_gl_names() {
-        assert_eq!(draw().mnemonic(), "glDrawArrays");
-        assert_eq!(GlCommand::SwapBuffers.mnemonic(), "eglSwapBuffers");
     }
 }

@@ -1,15 +1,7 @@
-//! RGBA8 framebuffers with tile-level diffing.
-//!
-//! Rendered frames flow back from the service device to the user device;
-//! the Turbo encoder (Section V-A, ref \[25\]) "eliminates the redundant
-//! data by only transmitting incremental updates between consecutive
-//! frames". Tile diffing is therefore a first-class framebuffer operation
-//! here, shared by the executor and the codec.
-
-use crate::types::GlError;
-
-/// Side length of a diff tile in pixels (TurboVNC-style 16×16 blocks).
-pub const TILE_SIZE: u32 = 16;
+//! RGBA8 framebuffers with a depth plane: the render target of the
+//! software executor. Rendered frames flow back from the service device
+//! to the user device through the Turbo codec (Section V-A, ref \[25\]),
+//! which diffs consecutive frames tile by tile on its own.
 
 /// A width×height RGBA8 image.
 ///
@@ -124,119 +116,6 @@ impl Framebuffer {
     pub fn clear_depth(&mut self, z: f32) {
         self.depth.fill(z);
     }
-
-    /// Number of tile columns/rows covering the image.
-    pub fn tile_grid(&self) -> (u32, u32) {
-        (
-            self.width.div_ceil(TILE_SIZE),
-            self.height.div_ceil(TILE_SIZE),
-        )
-    }
-
-    /// Extracts the RGBA bytes of the tile at tile coordinates
-    /// `(tx, ty)`, clipped to the image (edge tiles may be smaller).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GlError::InvalidValue`] if the tile coordinate is outside
-    /// the tile grid.
-    pub fn tile_bytes(&self, tx: u32, ty: u32) -> Result<Vec<u8>, GlError> {
-        let (cols, rows) = self.tile_grid();
-        if tx >= cols || ty >= rows {
-            return Err(GlError::InvalidValue(format!(
-                "tile ({tx},{ty}) outside {cols}x{rows} grid"
-            )));
-        }
-        let x0 = tx * TILE_SIZE;
-        let y0 = ty * TILE_SIZE;
-        let x1 = (x0 + TILE_SIZE).min(self.width);
-        let y1 = (y0 + TILE_SIZE).min(self.height);
-        let mut out = Vec::with_capacity(((x1 - x0) * (y1 - y0) * 4) as usize);
-        for y in y0..y1 {
-            let start = ((y * self.width + x0) * 4) as usize;
-            let end = ((y * self.width + x1) * 4) as usize;
-            out.extend_from_slice(&self.pixels[start..end]);
-        }
-        Ok(out)
-    }
-
-    /// Overwrites the tile at `(tx, ty)` with `bytes` (as produced by
-    /// [`Framebuffer::tile_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GlError::InvalidValue`] on a bad tile coordinate or a
-    /// byte-length mismatch.
-    pub fn write_tile(&mut self, tx: u32, ty: u32, bytes: &[u8]) -> Result<(), GlError> {
-        let (cols, rows) = self.tile_grid();
-        if tx >= cols || ty >= rows {
-            return Err(GlError::InvalidValue(format!(
-                "tile ({tx},{ty}) outside {cols}x{rows} grid"
-            )));
-        }
-        let x0 = tx * TILE_SIZE;
-        let y0 = ty * TILE_SIZE;
-        let x1 = (x0 + TILE_SIZE).min(self.width);
-        let y1 = (y0 + TILE_SIZE).min(self.height);
-        let expected = ((x1 - x0) * (y1 - y0) * 4) as usize;
-        if bytes.len() != expected {
-            return Err(GlError::InvalidValue(format!(
-                "tile payload {} bytes, expected {expected}",
-                bytes.len()
-            )));
-        }
-        let row_len = ((x1 - x0) * 4) as usize;
-        for (row, y) in (y0..y1).enumerate() {
-            let dst = ((y * self.width + x0) * 4) as usize;
-            self.pixels[dst..dst + row_len]
-                .copy_from_slice(&bytes[row * row_len..(row + 1) * row_len]);
-        }
-        Ok(())
-    }
-
-    /// Tile coordinates whose contents differ from `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GlError::InvalidOperation`] if dimensions differ.
-    pub fn changed_tiles(&self, other: &Framebuffer) -> Result<Vec<(u32, u32)>, GlError> {
-        if self.width != other.width || self.height != other.height {
-            return Err(GlError::InvalidOperation(
-                "cannot diff framebuffers of different sizes".into(),
-            ));
-        }
-        let (cols, rows) = self.tile_grid();
-        let mut changed = Vec::new();
-        for ty in 0..rows {
-            for tx in 0..cols {
-                // Unwrap is fine: coordinates come from the grid itself.
-                if self.tile_bytes(tx, ty).unwrap() != other.tile_bytes(tx, ty).unwrap() {
-                    changed.push((tx, ty));
-                }
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Fraction of pixels that differ from `other`, in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GlError::InvalidOperation`] if dimensions differ.
-    pub fn pixel_diff_ratio(&self, other: &Framebuffer) -> Result<f64, GlError> {
-        if self.width != other.width || self.height != other.height {
-            return Err(GlError::InvalidOperation(
-                "cannot diff framebuffers of different sizes".into(),
-            ));
-        }
-        let differing = self
-            .pixels
-            .chunks_exact(4)
-            .zip(other.pixels.chunks_exact(4))
-            .filter(|(a, b)| a != b)
-            .count();
-        Ok(differing as f64 / self.pixel_count() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -257,69 +136,6 @@ mod tests {
         assert_eq!(fb.pixel(3, 5), [1, 2, 3, 4]);
         // Out-of-bounds writes are clipped, not panics.
         fb.set_pixel(100, 100, [9, 9, 9, 9]);
-    }
-
-    #[test]
-    fn tile_grid_covers_partial_tiles() {
-        let fb = Framebuffer::new(33, 17);
-        assert_eq!(fb.tile_grid(), (3, 2));
-        // Edge tile is 1 px wide, 16 tall.
-        let t = fb.tile_bytes(2, 0).unwrap();
-        assert_eq!(t.len(), 16 * 4);
-    }
-
-    #[test]
-    fn tile_write_round_trip() {
-        let mut a = Framebuffer::new(32, 32);
-        let mut b = Framebuffer::new(32, 32);
-        a.set_pixel(17, 3, [200, 100, 50, 255]);
-        let tile = a.tile_bytes(1, 0).unwrap();
-        b.write_tile(1, 0, &tile).unwrap();
-        assert_eq!(b.pixel(17, 3), [200, 100, 50, 255]);
-    }
-
-    #[test]
-    fn changed_tiles_detects_only_touched_tiles() {
-        let base = Framebuffer::new(64, 64);
-        let mut next = base.clone();
-        next.set_pixel(40, 40, [255, 0, 0, 255]);
-        let changed = next.changed_tiles(&base).unwrap();
-        assert_eq!(changed, vec![(2, 2)]);
-    }
-
-    #[test]
-    fn identical_frames_have_no_changed_tiles() {
-        let a = Framebuffer::new(64, 64);
-        let b = a.clone();
-        assert!(a.changed_tiles(&b).unwrap().is_empty());
-        assert_eq!(a.pixel_diff_ratio(&b).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn diff_ratio_counts_pixels() {
-        let a = Framebuffer::new(10, 10);
-        let mut b = a.clone();
-        for x in 0..10 {
-            b.set_pixel(x, 0, [1, 1, 1, 255]);
-        }
-        let r = b.pixel_diff_ratio(&a).unwrap();
-        assert!((r - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn size_mismatch_is_an_error() {
-        let a = Framebuffer::new(8, 8);
-        let b = Framebuffer::new(16, 16);
-        assert!(a.changed_tiles(&b).is_err());
-        assert!(a.pixel_diff_ratio(&b).is_err());
-    }
-
-    #[test]
-    fn bad_tile_coordinates_error() {
-        let fb = Framebuffer::new(16, 16);
-        assert!(fb.tile_bytes(1, 0).is_err());
-        let mut fb2 = Framebuffer::new(16, 16);
-        assert!(fb2.write_tile(0, 0, &[0u8; 3]).is_err());
     }
 
     #[test]

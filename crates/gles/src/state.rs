@@ -14,6 +14,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use gbooster_sim::hash::{fnv1a, FNV1A_OFFSET};
+
 use crate::command::{GlCommand, TexParam, UniformValue, VertexSource};
 use crate::types::{
     AttribType, BlendFactor, BufferId, BufferTarget, BufferUsage, Capability, DepthFunc,
@@ -712,17 +714,6 @@ impl GlContext {
             .ok_or_else(|| GlError::InvalidHandle(format!("{id}")))
     }
 
-    /// Number of live objects of each kind: `(textures, buffers, shaders,
-    /// programs)` — memory-overhead accounting (Section VII-G).
-    pub fn object_counts(&self) -> (usize, usize, usize, usize) {
-        (
-            self.textures.len(),
-            self.buffers.len(),
-            self.shaders.len(),
-            self.programs.len(),
-        )
-    }
-
     /// Total bytes resident in texture and buffer objects.
     pub fn resident_bytes(&self) -> u64 {
         let tex: u64 = self.textures.values().map(|t| t.data.len() as u64).sum();
@@ -733,7 +724,7 @@ impl GlContext {
     /// An order-insensitive digest of all context state, for verifying
     /// replica consistency across service devices (Section VI-B).
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv(FNV1A_OFFSET);
         for (id, t) in &self.textures {
             h.write_u32(*id);
             h.write_u32(t.width);
@@ -767,7 +758,7 @@ impl GlContext {
         for a in &self.attribs {
             h.write_bytes(format!("{:?}{}{}", a.enabled, a.size, a.stride).as_bytes());
         }
-        h.finish()
+        h.0
     }
 
     /// Captures the complete context state for a one-shot resync
@@ -1017,36 +1008,17 @@ impl StateSnapshot {
             * SNAP_ATTRIB_BYTES;
         textures + buffers + shaders + programs + framebuffers + attribs + SNAP_SCALAR_BLOCK
     }
-
-    /// Number of captured objects of each kind: `(textures, buffers,
-    /// shaders, programs)`.
-    pub fn object_counts(&self) -> (usize, usize, usize, usize) {
-        (
-            self.textures.len(),
-            self.buffers.len(),
-            self.shaders.len(),
-            self.programs.len(),
-        )
-    }
 }
 
+/// Streaming FNV-1a over the context's fields.
 struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
     fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
     fn write_u32(&mut self, v: u32) {
         self.write_bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -1315,7 +1287,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ctx.resident_bytes(), 64);
-        assert_eq!(ctx.object_counts(), (1, 0, 0, 0));
     }
 
     #[test]
@@ -1356,7 +1327,6 @@ mod tests {
         let mut restored = GlContext::restore(&snap);
         assert_eq!(restored.digest(), ctx.digest());
         assert_eq!(restored.resident_bytes(), ctx.resident_bytes());
-        assert_eq!(restored.object_counts(), ctx.object_counts());
 
         // The restored context must track the donor through further
         // commands — bindings and per-frame counters included.
@@ -1409,7 +1379,6 @@ mod tests {
             "texel payload must be charged: {} vs {base}",
             snap.wire_bytes()
         );
-        assert_eq!(snap.object_counts(), (1, 0, 0, 0));
     }
 
     #[test]

@@ -145,18 +145,6 @@ pub enum Primitive {
     TriangleFan,
 }
 
-impl Primitive {
-    /// Number of primitives assembled from `vertex_count` vertices.
-    pub fn primitive_count(self, vertex_count: u32) -> u32 {
-        match self {
-            Primitive::Points => vertex_count,
-            Primitive::Lines => vertex_count / 2,
-            Primitive::Triangles => vertex_count / 3,
-            Primitive::TriangleStrip | Primitive::TriangleFan => vertex_count.saturating_sub(2),
-        }
-    }
-}
-
 /// Index element types for `glDrawElements`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexType {
@@ -309,15 +297,6 @@ mod tests {
         assert_eq!(PixelFormat::Rgb8.bytes_per_pixel(), 3);
         assert_eq!(PixelFormat::Luminance.bytes_per_pixel(), 1);
         assert_eq!(PixelFormat::Rgb565.bytes_per_pixel(), 2);
-    }
-
-    #[test]
-    fn primitive_counts() {
-        assert_eq!(Primitive::Triangles.primitive_count(9), 3);
-        assert_eq!(Primitive::TriangleStrip.primitive_count(5), 3);
-        assert_eq!(Primitive::TriangleFan.primitive_count(2), 0);
-        assert_eq!(Primitive::Lines.primitive_count(7), 3);
-        assert_eq!(Primitive::Points.primitive_count(4), 4);
     }
 
     #[test]

@@ -91,16 +91,6 @@ impl SharedLibrary {
     pub fn lookup(&self, symbol: &str) -> Option<&FnPtr> {
         self.symbols.get(symbol)
     }
-
-    /// All exported symbol names.
-    pub fn exports(&self) -> impl Iterator<Item = &str> {
-        self.symbols.keys().map(String::as_str)
-    }
-
-    /// Number of exports.
-    pub fn export_count(&self) -> usize {
-        self.symbols.len()
-    }
 }
 
 /// The OpenGL ES 2.0 entry points GBooster's wrapper must cover. A subset
@@ -160,18 +150,6 @@ pub const GLES2_SYMBOLS: &[&str] = &[
 /// The EGL entry points relevant to interception.
 pub const EGL_SYMBOLS: &[&str] = &["eglGetProcAddress", "eglSwapBuffers"];
 
-/// A Direct3D-style entry-point set (Section VIII of the paper: Windows
-/// Phone "uses a different graphics API named Direct X \[but\] we could
-/// still utilize the same API hooking technique"). Included to
-/// demonstrate that the hooking machinery is API-agnostic.
-pub const D3D_SYMBOLS: &[&str] = &[
-    "Direct3DCreate9",
-    "IDirect3DDevice9_DrawPrimitive",
-    "IDirect3DDevice9_SetTexture",
-    "IDirect3DDevice9_Present",
-    "IDirect3DDevice9_SetRenderState",
-];
-
 /// Builds the genuine Android GLES library.
 pub fn genuine_gles() -> SharedLibrary {
     SharedLibrary::new("libGLESv2.so").exporting(GLES2_SYMBOLS.iter().copied())
@@ -189,18 +167,6 @@ pub fn wrapper_library() -> SharedLibrary {
         .exporting(GLES2_SYMBOLS.iter().copied())
         .exporting(EGL_SYMBOLS.iter().copied())
         .exporting(["dlopen", "dlsym"])
-}
-
-/// Builds a genuine Direct3D runtime library (the Windows Phone analogue
-/// of `libGLESv2.so`).
-pub fn genuine_d3d() -> SharedLibrary {
-    SharedLibrary::new("d3d9.dll").exporting(D3D_SYMBOLS.iter().copied())
-}
-
-/// Builds a GBooster wrapper for the Direct3D surface — mechanically
-/// identical to the GL wrapper, per Section VIII's portability argument.
-pub fn wrapper_library_d3d() -> SharedLibrary {
-    SharedLibrary::new("gbooster_wrapper_d3d.dll").exporting(D3D_SYMBOLS.iter().copied())
 }
 
 #[cfg(test)]
@@ -237,41 +203,5 @@ mod tests {
             genuine.lookup("glClear").unwrap(),
             wrapper.lookup("glClear").unwrap()
         );
-    }
-
-    #[test]
-    fn d3d_wrapper_covers_the_direct3d_surface() {
-        // Section VIII portability: the same interposition mechanics
-        // apply to a completely different graphics API.
-        let wrapper = wrapper_library_d3d();
-        for sym in D3D_SYMBOLS {
-            assert!(wrapper.lookup(sym).is_some(), "missing {sym}");
-        }
-        assert_ne!(
-            genuine_d3d().lookup("IDirect3DDevice9_Present"),
-            wrapper.lookup("IDirect3DDevice9_Present")
-        );
-    }
-
-    #[test]
-    fn d3d_preload_interposes_like_gl() {
-        use crate::linker::DynamicLinker;
-        let mut linker = DynamicLinker::new();
-        linker.load(genuine_d3d());
-        linker.preload(wrapper_library_d3d());
-        for sym in D3D_SYMBOLS {
-            assert_eq!(
-                linker.resolve(sym).unwrap().provider(),
-                "gbooster_wrapper_d3d.dll"
-            );
-        }
-    }
-
-    #[test]
-    fn export_iteration() {
-        let lib = SharedLibrary::new("x.so").exporting(["a", "b"]);
-        let names: Vec<&str> = lib.exports().collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(lib.export_count(), 2);
     }
 }

@@ -99,15 +99,6 @@ impl DynamicLinker {
             .find(|lib| lib.name() == name)
             .ok_or_else(|| LinkError::LibraryNotFound(name.to_string()))
     }
-
-    /// Names of all loaded objects in search order (preload first).
-    pub fn search_order(&self) -> Vec<&str> {
-        self.preloaded
-            .iter()
-            .chain(self.loaded.iter())
-            .map(|l| l.name())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -161,17 +152,6 @@ mod tests {
         assert_eq!(
             linker.find_library("libNope.so").err(),
             Some(LinkError::LibraryNotFound("libNope.so".into()))
-        );
-    }
-
-    #[test]
-    fn search_order_lists_preload_first() {
-        let mut linker = DynamicLinker::new();
-        linker.load(genuine_gles());
-        linker.preload(wrapper_library());
-        assert_eq!(
-            linker.search_order(),
-            vec!["libgbooster_wrapper.so", "libGLESv2.so"]
         );
     }
 }

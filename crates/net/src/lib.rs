@@ -1,8 +1,8 @@
 //! # gbooster-net
 //!
 //! The simulated wireless substrate of GBooster: channels, radio
-//! power-state machines, a lightweight reliable-UDP transport, UDP
-//! multicast, and a TCP comparison model.
+//! power-state machines, a lightweight reliable-UDP transport, and a TCP
+//! comparison model.
 //!
 //! Constants come from the paper (Sections IV-B, V-B) and its references:
 //!
@@ -16,15 +16,17 @@
 //!   the paper selects UDP with an application-layer reliability protocol
 //!   (ref \[19\], UDT-style) instead.
 //!
-//! Modules: [`channel`] (bandwidth/latency/loss), [`estimator`]
-//! (smoothed RTT + loss), [`iface`] (radio power states), [`rudp`] (the
-//! reliable transport), [`multicast`], [`tcp`] (comparison model),
-//! [`switch`] (the dual-radio manager).
+//! Modules: [`channel`] (bandwidth/latency/loss), [`iface`] (radio power
+//! states), [`rudp`] (the reliable transport), [`tcp`] (comparison
+//! model), [`switch`] (the dual-radio manager).
+//!
+//! UDP multicast (Section VI-B) has no model of its own here: the session
+//! engine sends each frame's commands once on the uplink, and every live
+//! replica applies the one decoded list
+//! (`gbooster_core::session`, `OffloadEngine::issue_frame`).
 
 pub mod channel;
-pub mod estimator;
 pub mod iface;
-pub mod multicast;
 pub mod rudp;
 pub mod switch;
 pub mod tcp;

@@ -25,6 +25,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use gbooster_sim::event::EventQueue;
+use gbooster_sim::hash::{fnv1a, FNV1A_OFFSET};
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::{names, ClockOffsetEstimator, Registry, TraceContext};
 use rand::rngs::StdRng;
@@ -71,11 +72,33 @@ pub struct Datagram {
     pub ctx: TraceContext,
 }
 
-/// Exponential-backoff cap: a datagram's RTO doubles on each expiry up
-/// to `base << MAX_BACKOFF_SHIFT` (8× the configured RTO). A sick link
+/// Exponential-backoff cap: a [`backoff`] interval doubles on each
+/// expiry up to `base << MAX_BACKOFF_SHIFT` (8× the base). A sick link
 /// thus backs off instead of hammering retransmissions at a fixed
 /// cadence, without ever stalling longer than a bounded interval.
-const MAX_BACKOFF_SHIFT: u32 = 3;
+pub const MAX_BACKOFF_SHIFT: u32 = 3;
+
+/// Interval before retry `attempts` of `key` (a datagram's sequence
+/// number, or a probed node): `base` doubled per prior expiry (capped at
+/// `<< MAX_BACKOFF_SHIFT`) plus a deterministic jitter of up to a quarter
+/// of `base`. The first try waits the bare base, so a single loss
+/// recovers as fast as a fixed timer would; jitter only kicks in on a
+/// retry, spreading repeat offenders apart instead of synchronizing
+/// them. No RNG: the jitter is an FNV-1a hash of `(key, attempts)`, so a
+/// schedule replays identically across runs.
+pub fn backoff(base: SimDuration, key: u64, attempts: u32) -> SimDuration {
+    let base = base.as_micros();
+    let jitter = if attempts == 0 {
+        0
+    } else {
+        let h = fnv1a(
+            fnv1a(FNV1A_OFFSET, &key.to_le_bytes()),
+            &attempts.to_le_bytes(),
+        );
+        h % (base / 4).max(1)
+    };
+    SimDuration::from_micros((base << attempts.min(MAX_BACKOFF_SHIFT)) + jitter)
+}
 
 /// One unacknowledged datagram tracked by the sender.
 #[derive(Clone, Copy, Debug)]
@@ -95,9 +118,10 @@ struct Inflight {
 /// ```
 /// use gbooster_net::rudp::{RudpConfig, RudpSender};
 /// use gbooster_sim::time::SimTime;
+/// use gbooster_telemetry::TraceContext;
 ///
 /// let mut tx = RudpSender::new(RudpConfig::default());
-/// tx.enqueue(3000); // one message, three datagrams at MTU 1400
+/// tx.enqueue_traced(3000, TraceContext::NONE); // three datagrams at MTU 1400
 /// let pkts = tx.poll_send(SimTime::ZERO);
 /// assert_eq!(pkts.len(), 3);
 /// tx.on_ack(3); // cumulative ACK covers all three
@@ -116,17 +140,6 @@ pub struct RudpSender {
     retransmissions: u64,
 }
 
-/// Deterministic per-(seq, attempt) jitter hash (FNV-1a). No RNG: the
-/// sender must behave identically across runs for a given input.
-fn backoff_jitter_hash(seq: u64, attempts: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in seq.to_le_bytes().into_iter().chain(attempts.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl RudpSender {
     /// Creates a sender.
     ///
@@ -143,12 +156,6 @@ impl RudpSender {
             base: 0,
             retransmissions: 0,
         }
-    }
-
-    /// Splits a `bytes`-long message into untraced datagrams and queues
-    /// them.
-    pub fn enqueue(&mut self, bytes: usize) {
-        self.enqueue_traced(bytes, TraceContext::NONE);
     }
 
     /// Splits a `bytes`-long message into datagrams carrying `ctx` and
@@ -203,23 +210,6 @@ impl RudpSender {
         self.base = ack_seq;
     }
 
-    /// Effective RTO for a datagram on its `attempts`-th retransmission:
-    /// the configured base doubled per prior expiry (capped at
-    /// `<< MAX_BACKOFF_SHIFT`) plus a deterministic jitter of up to a
-    /// quarter RTO. The first timeout uses the bare base RTO so a single
-    /// loss recovers as fast as the fixed-RTO design did; jitter only
-    /// kicks in once a datagram has already been retransmitted, spreading
-    /// repeat offenders apart instead of synchronizing them.
-    fn backoff_rto(&self, seq: u64, attempts: u32) -> SimDuration {
-        let base = self.config.rto.as_micros() << attempts.min(MAX_BACKOFF_SHIFT);
-        let jitter = if attempts == 0 {
-            0
-        } else {
-            backoff_jitter_hash(seq, attempts) % (self.config.rto.as_micros() / 4).max(1)
-        };
-        SimDuration::from_micros(base + jitter)
-    }
-
     /// Datagrams whose backoff deadline expired; re-stamps their send
     /// time and bumps their attempt counter so the next deadline is
     /// further out. The retransmitted datagrams carry the original trace
@@ -229,7 +219,7 @@ impl RudpSender {
         let deadlines: Vec<(u64, SimDuration)> = self
             .inflight
             .iter()
-            .map(|(&seq, e)| (seq, self.backoff_rto(seq, e.attempts)))
+            .map(|(&seq, e)| (seq, backoff(self.config.rto, seq, e.attempts)))
             .collect();
         for (seq, rto) in deadlines {
             let entry = self.inflight.get_mut(&seq).expect("inflight entry");
@@ -252,7 +242,7 @@ impl RudpSender {
     pub fn next_rto_deadline(&self) -> Option<SimTime> {
         self.inflight
             .iter()
-            .map(|(&seq, e)| e.sent + self.backoff_rto(seq, e.attempts))
+            .map(|(&seq, e)| e.sent + backoff(self.config.rto, seq, e.attempts))
             .min()
     }
 
@@ -292,16 +282,10 @@ impl RudpReceiver {
     }
 
     /// Processes an arriving datagram; returns the cumulative ACK to send
-    /// back and the lengths of datagrams newly delivered in order.
-    pub fn on_datagram(&mut self, dg: Datagram) -> (u64, Vec<usize>) {
-        let (ack, delivered) = self.on_datagram_full(dg);
-        (ack, delivered.into_iter().map(|d| d.len).collect())
-    }
-
-    /// [`RudpReceiver::on_datagram`], but delivery yields the full
-    /// datagrams — sequence, length *and* trace context — so a traced
-    /// consumer can attribute every in-order delivery to its frame even
-    /// when the arrival that completed it was a retransmission.
+    /// back and the datagrams newly delivered in order — sequence, length
+    /// *and* trace context, so a traced consumer can attribute every
+    /// in-order delivery to its frame even when the arrival that
+    /// completed it was a retransmission.
     pub fn on_datagram_full(&mut self, dg: Datagram) -> (u64, Vec<Datagram>) {
         let mut delivered = Vec::new();
         if dg.seq < self.expected || self.buffer.contains_key(&dg.seq) {
@@ -315,11 +299,6 @@ impl RudpReceiver {
             self.expected += 1;
         }
         (self.expected, delivered)
-    }
-
-    /// Next expected in-order sequence number (== the cumulative ACK).
-    pub fn expected(&self) -> u64 {
-        self.expected
     }
 
     /// Total bytes delivered in order.
@@ -566,7 +545,7 @@ mod tests {
     #[test]
     fn sender_splits_messages_at_mtu() {
         let mut tx = RudpSender::new(RudpConfig::default());
-        tx.enqueue(MTU * 2 + 1);
+        tx.enqueue_traced(MTU * 2 + 1, TraceContext::NONE);
         let pkts = tx.poll_send(SimTime::ZERO);
         assert_eq!(pkts.len(), 3);
         assert_eq!(pkts[0].len, MTU);
@@ -579,7 +558,7 @@ mod tests {
             window: 4,
             ..RudpConfig::default()
         });
-        tx.enqueue(MTU * 10);
+        tx.enqueue_traced(MTU * 10, TraceContext::NONE);
         assert_eq!(tx.poll_send(SimTime::ZERO).len(), 4);
         assert_eq!(tx.poll_send(SimTime::ZERO).len(), 0, "window full");
         tx.on_ack(2);
@@ -595,10 +574,10 @@ mod tests {
             retransmit: false,
             ctx: TraceContext::NONE,
         };
-        let (ack, delivered) = rx.on_datagram(dg(1));
+        let (ack, delivered) = rx.on_datagram_full(dg(1));
         assert_eq!(ack, 0);
         assert!(delivered.is_empty(), "held for reordering");
-        let (ack, delivered) = rx.on_datagram(dg(0));
+        let (ack, delivered) = rx.on_datagram_full(dg(0));
         assert_eq!(ack, 2);
         assert_eq!(delivered.len(), 2, "both delivered in order");
         assert_eq!(rx.delivered_bytes(), 200);
@@ -613,8 +592,8 @@ mod tests {
             retransmit: false,
             ctx: TraceContext::NONE,
         };
-        rx.on_datagram(dg);
-        rx.on_datagram(dg);
+        rx.on_datagram_full(dg);
+        rx.on_datagram_full(dg);
         assert_eq!(rx.duplicates(), 1);
         assert_eq!(rx.delivered_bytes(), 10);
     }
@@ -623,7 +602,7 @@ mod tests {
     fn rto_retransmits_unacked_packets() {
         let cfg = RudpConfig::default();
         let mut tx = RudpSender::new(cfg);
-        tx.enqueue(100);
+        tx.enqueue_traced(100, TraceContext::NONE);
         tx.poll_send(SimTime::ZERO);
         assert!(tx.poll_retransmit(SimTime::from_millis(5)).is_empty());
         let re = tx.poll_retransmit(SimTime::ZERO + cfg.rto);
@@ -636,7 +615,7 @@ mod tests {
     fn retransmit_spacing_backs_off_exponentially_and_caps() {
         let cfg = RudpConfig::default();
         let mut tx = RudpSender::new(cfg);
-        tx.enqueue(100); // one datagram, never acked
+        tx.enqueue_traced(100, TraceContext::NONE); // one datagram, never acked
         tx.poll_send(SimTime::ZERO);
         let base = cfg.rto.as_micros();
         let mut prev = SimTime::ZERO;
@@ -665,7 +644,7 @@ mod tests {
         }
         // Deterministic: an identical sender replays identical deadlines.
         let mut tx2 = RudpSender::new(cfg);
-        tx2.enqueue(100);
+        tx2.enqueue_traced(100, TraceContext::NONE);
         tx2.poll_send(SimTime::ZERO);
         for _ in 0..8 {
             let d = tx2.next_rto_deadline().unwrap();
@@ -846,7 +825,7 @@ mod tests {
     #[test]
     fn stale_ack_is_ignored() {
         let mut tx = RudpSender::new(RudpConfig::default());
-        tx.enqueue(MTU * 3);
+        tx.enqueue_traced(MTU * 3, TraceContext::NONE);
         tx.poll_send(SimTime::ZERO);
         tx.on_ack(2);
         tx.on_ack(1); // stale

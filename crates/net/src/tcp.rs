@@ -44,24 +44,12 @@ impl TcpModel {
         let rto = SimDuration::from_millis(200);
         serialization + rtt + DELAYED_ACK + rto * expected_losses
     }
-
-    /// Per-message latency floor regardless of size (RTT + delayed ACK):
-    /// the term the paper's RUDP avoids.
-    pub fn latency_floor(&self) -> SimDuration {
-        self.channel.mean_rtt() + DELAYED_ACK
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rudp::{simulate_transfer, RudpConfig};
-
-    #[test]
-    fn latency_floor_is_at_least_the_delayed_ack() {
-        let tcp = TcpModel::new(ChannelModel::wifi_80211n());
-        assert!(tcp.latency_floor() >= DELAYED_ACK);
-    }
 
     #[test]
     fn rudp_beats_tcp_for_small_command_batches() {

@@ -14,16 +14,14 @@ use crate::time::SimDuration;
 /// ```
 /// use gbooster_sim::battery::Battery;
 ///
-/// let mut b = Battery::nexus5();
-/// // One hour at 3.5 W.
-/// b.drain_joules(3.5 * 3600.0);
-/// assert!(b.remaining_fraction() < 0.7);
-/// assert!(!b.is_empty());
+/// let b = Battery::nexus5();
+/// // 8.74 Wh lasts two and a half hours at 3.5 W.
+/// let hours = b.lifetime_at(3.5).as_secs_f64() / 3600.0;
+/// assert!((hours - 2.497).abs() < 1e-3);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Battery {
     capacity_wh: f64,
-    drained_wh: f64,
 }
 
 impl Battery {
@@ -38,7 +36,6 @@ impl Battery {
         assert!(volts.is_finite() && volts > 0.0, "invalid voltage");
         Battery {
             capacity_wh: mah * volts / 1000.0,
-            drained_wh: 0.0,
         }
     }
 
@@ -57,26 +54,6 @@ impl Battery {
         self.capacity_wh
     }
 
-    /// Removes `joules` of energy (saturating at empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `joules` is negative or not finite.
-    pub fn drain_joules(&mut self, joules: f64) {
-        assert!(joules.is_finite() && joules >= 0.0, "invalid drain");
-        self.drained_wh = (self.drained_wh + joules / 3600.0).min(self.capacity_wh);
-    }
-
-    /// Fraction of charge remaining, in `[0, 1]`.
-    pub fn remaining_fraction(&self) -> f64 {
-        1.0 - self.drained_wh / self.capacity_wh
-    }
-
-    /// True when fully drained.
-    pub fn is_empty(&self) -> bool {
-        self.remaining_fraction() <= 0.0
-    }
-
     /// How long a full charge lasts at a constant `watts` draw.
     ///
     /// # Panics
@@ -85,16 +62,6 @@ impl Battery {
     pub fn lifetime_at(&self, watts: f64) -> SimDuration {
         assert!(watts.is_finite() && watts > 0.0, "invalid power");
         SimDuration::from_secs_f64(self.capacity_wh * 3600.0 / watts)
-    }
-
-    /// Remaining runtime at a constant `watts` draw.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watts` is not positive and finite.
-    pub fn remaining_at(&self, watts: f64) -> SimDuration {
-        assert!(watts.is_finite() && watts > 0.0, "invalid power");
-        SimDuration::from_secs_f64((self.capacity_wh - self.drained_wh) * 3600.0 / watts)
     }
 }
 
@@ -122,26 +89,6 @@ mod tests {
         let full = b.lifetime_at(3.0).as_secs_f64();
         let half = b.lifetime_at(1.5).as_secs_f64();
         assert!((half / full - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drain_saturates_at_empty() {
-        let mut b = Battery::from_mah(1000.0, 3.6);
-        b.drain_joules(1e9);
-        assert!(b.is_empty());
-        assert_eq!(b.remaining_fraction(), 0.0);
-    }
-
-    #[test]
-    fn remaining_tracks_partial_drain() {
-        let mut b = Battery::from_mah(1000.0, 3.6); // 3.6 Wh
-        b.drain_joules(3.6 * 3600.0 / 2.0); // half
-        assert!((b.remaining_fraction() - 0.5).abs() < 1e-9);
-        let rem = b.remaining_at(1.8).as_secs_f64() / 3600.0;
-        assert!(
-            (rem - 1.0).abs() < 1e-9,
-            "1 h left at half capacity / 1.8 W"
-        );
     }
 
     #[test]

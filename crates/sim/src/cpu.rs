@@ -73,8 +73,6 @@ impl CpuSpec {
 #[derive(Clone, Debug)]
 pub struct CpuModel {
     spec: CpuSpec,
-    busy_core_time: SimDuration,
-    total_time: SimDuration,
     energy_j: f64,
 }
 
@@ -83,15 +81,8 @@ impl CpuModel {
     pub fn new(spec: CpuSpec) -> Self {
         CpuModel {
             spec,
-            busy_core_time: SimDuration::ZERO,
-            total_time: SimDuration::ZERO,
             energy_j: 0.0,
         }
-    }
-
-    /// The static spec.
-    pub fn spec(&self) -> &CpuSpec {
-        &self.spec
     }
 
     /// Time to execute `gcycles` giga-cycles of work with at most
@@ -107,10 +98,7 @@ impl CpuModel {
         );
         assert!(parallelism > 0, "parallelism must be nonzero");
         let cores_used = parallelism.min(self.spec.cores) as f64;
-        let secs = gcycles / (self.spec.clock_ghz * cores_used);
-        let dur = SimDuration::from_secs_f64(secs);
-        self.busy_core_time += SimDuration::from_secs_f64(secs * cores_used);
-        dur
+        SimDuration::from_secs_f64(gcycles / (self.spec.clock_ghz * cores_used))
     }
 
     /// Advances wall time by `dt` at the given whole-chip utilization,
@@ -127,7 +115,6 @@ impl CpuModel {
         let power = self.power_w(utilization);
         let energy = power * dt.as_secs_f64();
         self.energy_j += energy;
-        self.total_time += dt;
         energy
     }
 
@@ -139,22 +126,6 @@ impl CpuModel {
     /// Total energy consumed so far, in joules.
     pub fn energy_joules(&self) -> f64 {
         self.energy_j
-    }
-
-    /// Utilization implied by the recorded busy core-time over `dt` of
-    /// wall time, clamped to `[0, 1]`.
-    pub fn utilization_over(&self, dt: SimDuration) -> f64 {
-        if dt.is_zero() {
-            return 0.0;
-        }
-        (self.busy_core_time.as_secs_f64() / (dt.as_secs_f64() * self.spec.cores as f64)).min(1.0)
-    }
-
-    /// Clears accumulated counters.
-    pub fn reset(&mut self) {
-        self.busy_core_time = SimDuration::ZERO;
-        self.total_time = SimDuration::ZERO;
-        self.energy_j = 0.0;
     }
 }
 
@@ -189,16 +160,6 @@ mod tests {
         let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
         let e = cpu.step(SimDuration::from_secs(10), 1.0);
         assert!((e - 20.0).abs() < 1e-9);
-        cpu.reset();
-        assert_eq!(cpu.energy_joules(), 0.0);
-    }
-
-    #[test]
-    fn utilization_derived_from_busy_core_time() {
-        let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
-        cpu.execute(2.0, 1); // 1s on one of four cores
-        let u = cpu.utilization_over(SimDuration::from_secs(1));
-        assert!((u - 0.25).abs() < 1e-9);
     }
 
     #[test]

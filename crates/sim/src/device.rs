@@ -29,13 +29,6 @@ pub enum DeviceClass {
     Desktop,
 }
 
-impl DeviceClass {
-    /// Whether devices of this class can serve as offloading destinations.
-    pub fn can_serve(self) -> bool {
-        !matches!(self, DeviceClass::Phone)
-    }
-}
-
 /// A complete hardware description of a user or service device.
 #[derive(Clone, Debug)]
 pub struct DeviceSpec {
@@ -184,12 +177,6 @@ impl DeviceSpec {
             DeviceSpec::dell_optiplex_9010(),
         ]
     }
-
-    /// Relative GPU computation capability `c` used by the Eq. 4 scheduler
-    /// (normalized to 1.0 for a 1 GP/s GPU).
-    pub fn gpu_capability(&self) -> f64 {
-        self.gpu.fillrate_gpixels_per_sec
-    }
 }
 
 #[cfg(test)]
@@ -218,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn phones_cannot_serve_but_consoles_can() {
-        assert!(!DeviceClass::Phone.can_serve());
-        assert!(DeviceClass::Console.can_serve());
-        assert!(DeviceClass::Desktop.can_serve());
-        assert!(DeviceClass::TvBox.can_serve());
-        assert!(DeviceClass::Laptop.can_serve());
-    }
-
-    #[test]
     fn new_generation_is_about_twice_old_generation() {
         // Section VII-B: the LG G5 achieves roughly 2x the Nexus 5's FPS.
         let ratio = DeviceSpec::lg_g5().gpu.fillrate_gpixels_per_sec
@@ -237,7 +215,8 @@ mod tests {
     #[test]
     fn service_gpus_dwarf_phone_gpus() {
         for service in DeviceSpec::service_devices() {
-            assert!(service.gpu_capability() > DeviceSpec::nexus5().gpu_capability());
+            let phone = DeviceSpec::nexus5().gpu.fillrate_gpixels_per_sec;
+            assert!(service.gpu.fillrate_gpixels_per_sec > phone);
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::time::{SimDuration, SimTime};
 /// use gbooster_sim::display::Display;
 /// use gbooster_sim::time::SimTime;
 ///
-/// let mut d = Display::new(60, 1280, 720);
+/// let mut d = Display::new(60);
 /// // A frame finishing at 3 ms is presented at the next vsync (16.67 ms).
 /// let shown = d.present(SimTime::from_millis(3));
 /// assert_eq!(shown.as_micros(), 16_666);
@@ -28,23 +28,19 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Debug)]
 pub struct Display {
     refresh_hz: u32,
-    width: u32,
-    height: u32,
     last_vsync_presented: Option<u64>,
 }
 
 impl Display {
-    /// Creates a display with the given refresh rate and resolution.
+    /// Creates a display with the given refresh rate.
     ///
     /// # Panics
     ///
     /// Panics if `refresh_hz` is zero.
-    pub fn new(refresh_hz: u32, width: u32, height: u32) -> Self {
+    pub fn new(refresh_hz: u32) -> Self {
         assert!(refresh_hz > 0, "refresh rate must be nonzero");
         Display {
             refresh_hz,
-            width,
-            height,
             last_vsync_presented: None,
         }
     }
@@ -52,21 +48,6 @@ impl Display {
     /// The vsync period.
     pub fn vsync_period(&self) -> SimDuration {
         SimDuration::from_micros(1_000_000 / self.refresh_hz as u64)
-    }
-
-    /// Refresh rate in Hz.
-    pub fn refresh_hz(&self) -> u32 {
-        self.refresh_hz
-    }
-
-    /// Panel resolution in pixels.
-    pub fn resolution(&self) -> (u32, u32) {
-        (self.width, self.height)
-    }
-
-    /// Pixels per frame.
-    pub fn pixels(&self) -> u64 {
-        self.width as u64 * self.height as u64
     }
 
     /// Presents a frame that became ready at `ready`: returns the instant
@@ -85,11 +66,6 @@ impl Display {
         }
         self.last_vsync_presented = Some(slot);
         SimTime::from_micros(slot * period)
-    }
-
-    /// Forgets presentation history (e.g., between experiment runs).
-    pub fn reset(&mut self) {
-        self.last_vsync_presented = None;
     }
 }
 
@@ -201,24 +177,6 @@ impl FpsRecorder {
             / intervals.len() as f64;
         var.sqrt()
     }
-
-    /// Mean FPS over the whole session.
-    pub fn mean_fps(&self) -> f64 {
-        let Some(&last) = self.present_times.last() else {
-            return 0.0;
-        };
-        let secs = last.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.present_times.len() as f64 / secs
-        }
-    }
-
-    /// Clears all recorded frames.
-    pub fn reset(&mut self) {
-        self.present_times.clear();
-    }
 }
 
 #[cfg(test)]
@@ -227,14 +185,14 @@ mod tests {
 
     #[test]
     fn present_aligns_to_next_vsync() {
-        let mut d = Display::new(60, 1920, 1080);
+        let mut d = Display::new(60);
         assert_eq!(d.present(SimTime::ZERO).as_micros(), 16_666);
         assert_eq!(d.vsync_period().as_micros(), 16_666);
     }
 
     #[test]
     fn double_buffering_skips_claimed_vsync() {
-        let mut d = Display::new(60, 1920, 1080);
+        let mut d = Display::new(60);
         let a = d.present(SimTime::from_millis(1));
         let b = d.present(SimTime::from_millis(2));
         assert!(b > a);
@@ -292,7 +250,6 @@ mod tests {
         let rec = FpsRecorder::new();
         assert_eq!(rec.median_fps(), 0.0);
         assert_eq!(rec.stability(), 0.0);
-        assert_eq!(rec.mean_fps(), 0.0);
         assert_eq!(rec.interval_jitter_ms(), 0.0);
     }
 
@@ -322,17 +279,5 @@ mod tests {
         let mut rec = FpsRecorder::new();
         rec.record(SimTime::from_millis(10));
         rec.record(SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut rec = FpsRecorder::new();
-        rec.record(SimTime::from_millis(1));
-        rec.reset();
-        assert_eq!(rec.frame_count(), 0);
-        let mut d = Display::new(60, 10, 10);
-        d.present(SimTime::ZERO);
-        d.reset();
-        assert_eq!(d.present(SimTime::ZERO).as_micros(), 16_666);
     }
 }

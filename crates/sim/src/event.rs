@@ -89,11 +89,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// The scheduled time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// The current simulated clock (time of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -215,10 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance_clock() {
+    fn push_does_not_advance_clock() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());

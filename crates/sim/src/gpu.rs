@@ -137,8 +137,6 @@ pub struct GpuModel {
     thermal: ThermalParams,
     temperature_c: f64,
     throttled: bool,
-    busy_time: SimDuration,
-    total_time: SimDuration,
     energy_j: f64,
 }
 
@@ -165,15 +163,8 @@ impl GpuModel {
             thermal,
             spec,
             throttled: false,
-            busy_time: SimDuration::ZERO,
-            total_time: SimDuration::ZERO,
             energy_j: 0.0,
         }
-    }
-
-    /// The static spec.
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
     }
 
     /// Current core clock in MHz, accounting for throttling.
@@ -255,8 +246,6 @@ impl GpuModel {
         let power = self.idle_or_active_power(utilization, freq_ratio);
         let energy = power * dt_s;
         self.energy_j += energy;
-        self.busy_time += dt * utilization;
-        self.total_time += dt;
         energy
     }
 
@@ -280,25 +269,6 @@ impl GpuModel {
     /// Total energy consumed so far, in joules.
     pub fn energy_joules(&self) -> f64 {
         self.energy_j
-    }
-
-    /// Lifetime average utilization (busy time / wall time).
-    pub fn average_utilization(&self) -> f64 {
-        if self.total_time.is_zero() {
-            0.0
-        } else {
-            self.busy_time.as_secs_f64() / self.total_time.as_secs_f64()
-        }
-    }
-
-    /// Resets temperature, throttle state and counters (the paper cools
-    /// the phone down before each power measurement, Section VII-C).
-    pub fn cool_down(&mut self) {
-        self.temperature_c = self.thermal.ambient_c;
-        self.throttled = false;
-        self.busy_time = SimDuration::ZERO;
-        self.total_time = SimDuration::ZERO;
-        self.energy_j = 0.0;
     }
 }
 
@@ -376,17 +346,6 @@ mod tests {
         let e = gpu.step(SimDuration::from_secs(10), 1.0);
         assert!((e - 30.0).abs() < 1e-6, "10 s at 3 W");
         assert!((gpu.energy_joules() - e).abs() < 1e-9);
-        gpu.cool_down();
-        assert_eq!(gpu.energy_joules(), 0.0);
-        assert!(!gpu.is_throttled());
-    }
-
-    #[test]
-    fn utilization_tracking() {
-        let mut gpu = lg_g4_gpu();
-        gpu.step(SimDuration::from_secs(1), 1.0);
-        gpu.step(SimDuration::from_secs(1), 0.0);
-        assert!((gpu.average_utilization() - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!
 //! * [`time`] — strongly-typed simulated clock ([`SimTime`], [`SimDuration`]).
 //! * [`event`] — a deterministic discrete-event queue.
+//! * [`hash`] — the workspace's one FNV-1a content hash.
 //! * [`gpu`] — a mobile GPU model with fillrate, DVFS and the thermal
 //!   throttling behaviour of Fig. 1 of the paper.
 //! * [`cpu`] — a multi-core CPU time/power model.
@@ -35,6 +36,7 @@ pub mod device;
 pub mod display;
 pub mod event;
 pub mod gpu;
+pub mod hash;
 pub mod power;
 pub mod rng;
 pub mod time;

@@ -7,6 +7,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::hash::{fnv1a, FNV1A_OFFSET};
+
 /// Creates a deterministic RNG from a 64-bit seed.
 ///
 /// # Examples
@@ -38,12 +40,7 @@ pub fn seeded(seed: u64) -> StdRng {
 /// ```
 pub fn derived(seed: u64, label: &str) -> StdRng {
     // FNV-1a over the label, mixed with the master seed.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in label.bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    StdRng::seed_from_u64(seed ^ h)
+    StdRng::seed_from_u64(seed ^ fnv1a(FNV1A_OFFSET, label.as_bytes()))
 }
 
 #[cfg(test)]

@@ -67,18 +67,6 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<CollapsedLine>, String> {
     Ok(out)
 }
 
-/// Distinct leaf frames across parsed lines — what the CI smoke job
-/// counts against its ≥ 8-scopes floor.
-pub fn distinct_leaves(lines: &[CollapsedLine]) -> Vec<&str> {
-    let mut leaves: Vec<&str> = lines
-        .iter()
-        .filter_map(|l| l.frames.last().map(String::as_str))
-        .collect();
-    leaves.sort_unstable();
-    leaves.dedup();
-    leaves
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +91,11 @@ mod tests {
         let text = collapsed_stack(&snap);
         let lines = parse_collapsed(&text).expect("export parses");
         assert_eq!(lines.len(), 3, "three collapsed paths:\n{text}");
-        let leaves = distinct_leaves(&lines);
+        let mut leaves: Vec<&str> = lines
+            .iter()
+            .map(|l| l.frames.last().expect("non-empty stack").as_str())
+            .collect();
+        leaves.sort_unstable();
         assert_eq!(
             leaves,
             vec![

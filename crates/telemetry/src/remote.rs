@@ -127,11 +127,6 @@ impl ClockOffsetEstimator {
         self.best.map(|(_, offset)| offset)
     }
 
-    /// RTT of the sample backing the estimate, in µs.
-    pub fn best_rtt_us(&self) -> Option<i64> {
-        self.best.map(|(rtt, _)| rtt)
-    }
-
     /// Valid samples folded in.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -152,7 +147,6 @@ mod tests {
         let t4 = t1 + 2 * one_way;
         est.observe(t1, t2, t2, t4);
         assert_eq!(est.offset_us(), Some(off));
-        assert_eq!(est.best_rtt_us(), Some(2 * one_way));
     }
 
     #[test]
@@ -172,7 +166,6 @@ mod tests {
         est.observe(0, 9_000 + 100, 9_000 + 100, 10_000);
         // ...then a clean low-RTT sample corrects it.
         est.observe(20_000, 21_000 + 100, 21_000 + 100, 22_000);
-        assert_eq!(est.best_rtt_us(), Some(2_000));
         assert_eq!(est.offset_us(), Some(100));
         assert_eq!(est.samples(), 2);
     }

@@ -31,9 +31,6 @@ use gbooster_sim::time::SimTime;
 
 use crate::hist::HistogramSnapshot;
 
-/// Default per-series ring capacity.
-pub const DEFAULT_SLOTS: usize = 64;
-
 /// `(sim µs, point)` pairs, oldest first.
 type Ring<T> = VecDeque<(u64, T)>;
 

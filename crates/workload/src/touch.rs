@@ -1,13 +1,9 @@
 //! Touch input generation.
 //!
-//! Two generators:
-//!
-//! * [`TouchGenerator`] — stochastic, bursty gameplay input. Bursts are
-//!   the *exogenous shocks* of Section V-B: "burst touching events from
-//!   users may lead to drastic changes in game scenes and transmitting the
-//!   varying scenes may escalate the network traffic."
-//! * [`ScriptedTouches`] — a MonkeyRunner-style fixed schedule (ref \[42\])
-//!   for the repeatable non-gaming tests of Section VII-E.
+//! [`TouchGenerator`] produces stochastic, bursty gameplay input. Bursts
+//! are the *exogenous shocks* of Section V-B: "burst touching events from
+//! users may lead to drastic changes in game scenes and transmitting the
+//! varying scenes may escalate the network traffic."
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -79,51 +75,6 @@ impl TouchGenerator {
     }
 }
 
-/// A fixed MonkeyRunner-style schedule: `(time_sec, touches)` pairs.
-///
-/// # Examples
-///
-/// ```
-/// use gbooster_workload::touch::ScriptedTouches;
-///
-/// let script = ScriptedTouches::new(vec![(0.5, 2), (1.0, 1)]);
-/// assert_eq!(script.touches_between(0.0, 0.6), 2);
-/// assert_eq!(script.touches_between(0.6, 1.5), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ScriptedTouches {
-    events: Vec<(f64, u32)>,
-}
-
-impl ScriptedTouches {
-    /// Creates a schedule; events are sorted by time.
-    pub fn new(mut events: Vec<(f64, u32)>) -> Self {
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        ScriptedTouches { events }
-    }
-
-    /// The paper's non-gaming script: a page turn / scroll every ~2 s for
-    /// a 60 s run, repeated identically across trials.
-    pub fn browsing_session() -> Self {
-        let events = (0..30).map(|i| (2.0 * i as f64 + 1.0, 1)).collect();
-        ScriptedTouches::new(events)
-    }
-
-    /// Touch count in the half-open interval `[from, to)` seconds.
-    pub fn touches_between(&self, from: f64, to: f64) -> u32 {
-        self.events
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Total scheduled touches.
-    pub fn total(&self) -> u32 {
-        self.events.iter().map(|(_, n)| n).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,23 +114,6 @@ mod tests {
             saw_burst |= gen.in_burst();
         }
         assert!(saw_burst);
-    }
-
-    #[test]
-    fn script_is_repeatable() {
-        let a = ScriptedTouches::browsing_session();
-        let b = ScriptedTouches::browsing_session();
-        for w in 0..60 {
-            let (f, t) = (w as f64, w as f64 + 1.0);
-            assert_eq!(a.touches_between(f, t), b.touches_between(f, t));
-        }
-        assert_eq!(a.total(), 30);
-    }
-
-    #[test]
-    fn script_sorts_events() {
-        let s = ScriptedTouches::new(vec![(3.0, 1), (1.0, 2)]);
-        assert_eq!(s.touches_between(0.0, 2.0), 2);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl FrameTrace {
     pub fn payload_bytes(&self) -> usize {
         self.commands.iter().map(|c| c.payload_bytes()).sum()
     }
-
-    /// Number of commands in the frame.
-    pub fn command_count(&self) -> usize {
-        self.commands.len()
-    }
 }
 
 /// Generates a deterministic stream of [`FrameTrace`]s for one
@@ -168,11 +163,6 @@ impl TraceGenerator {
     /// deferred-pointer resolver and the local GL driver).
     pub fn client_memory(&self) -> &ClientMemory {
         &self.memory
-    }
-
-    /// Target resolution.
-    pub fn resolution(&self) -> (u32, u32) {
-        (self.width, self.height)
     }
 
     /// One-time context setup: shaders, program, quad buffer, initial

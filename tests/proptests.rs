@@ -386,9 +386,10 @@ proptest! {
         let mut tx = CommandCache::new(capacity);
         let mut rx = CommandCache::new(capacity);
         for msg in &stream {
-            let token = tx.offer(msg);
-            let out = rx.accept(&token);
-            prop_assert_eq!(out.as_deref(), Some(msg.as_slice()));
+            match tx.offer_ref(msg) {
+                Some(key) => prop_assert_eq!(rx.accept_ref(key), Some(msg.as_slice())),
+                None => rx.accept_full(msg),
+            }
         }
         prop_assert_eq!(tx.len(), rx.len());
     }
@@ -472,11 +473,11 @@ proptest! {
                 let score = node.score(fill, now);
                 prop_assert!(!score.is_nan(), "score must never be NaN");
             }
-            let decision = d.dispatch(seq as u64, fill, SimDuration::ZERO, now);
+            let decision = d.dispatch_for(0, seq as u64, fill, SimDuration::ZERO, now);
             prop_assert!(decision.node < n_nodes);
             prop_assert!(decision.finish >= decision.start);
             prop_assert!(decision.start >= now);
-            d.complete(decision.node, seq as u64);
+            d.complete_for(decision.node, 0, seq as u64);
             now += SimDuration::from_micros(step_us);
         }
     }
