@@ -14,6 +14,7 @@ use gbooster::core::fabric::{CacheMode, FabricConfig, FabricReport, PoolEvent, S
 use gbooster::core::rebalance::RebalancePolicy;
 use gbooster::sim::device::DeviceSpec;
 use gbooster::sim::time::{SimDuration, SimTime};
+use gbooster::telemetry::SeriesData;
 
 /// Asked of every observed run, at mid-run and at the horizon.
 const QUERIES: [&str; 9] = [
@@ -233,4 +234,70 @@ fn drain_of_a_migration_destination_hands_arrivals_onward() {
     cfg.drain_node(SimTime::from_secs(2), 1);
     cfg.observe_default();
     check("onward", &cfg, 0x43df_07ad_a8ee_3888);
+}
+
+/// The observer's write paths under wrap-around: every TSDB ring wraps
+/// (64 slots of 250 ms cover 16 s of a 60 s run), and a tight SLO keeps
+/// enough traces that tenant budgets evict. The digest adds every
+/// stored TSDB point and the TSDB's own counters to [`digest`].
+#[test]
+fn long_observed_run_wraps_rings_and_evicts_traces() {
+    let mut cfg = light(3, 20_170_605);
+    cfg.duration = SimDuration::from_secs(60);
+    cfg.loss_scale = 1.0;
+    for t in &mut cfg.tenants {
+        t.slo_ms = 6.0;
+    }
+    cfg.drain_node(SimTime::from_secs(30), 0);
+    kill(&mut cfg, 40_000, 1);
+    revive(&mut cfg, 50_000, 1);
+    cfg.observe_default();
+    let report = SessionManager::run(&cfg).expect("golden config is valid");
+    let tsdb = report.tsdb.as_ref().expect("observed run has a TSDB");
+    let sampler = report.sampler.as_ref().expect("observed run has a sampler");
+    assert!(tsdb.evicted() > 0, "no TSDB ring wrapped");
+    assert!(sampler.evictions() > 0, "no trace budget evicted");
+    let mut h = Fnv(digest(&report, cfg.duration));
+    for s in tsdb.series() {
+        h.part(s.name().as_bytes());
+        for (k, v) in s.labels() {
+            h.part(k.as_bytes());
+            h.part(v.as_bytes());
+        }
+        match s.data() {
+            SeriesData::Scalar(ring) => {
+                for (at, v) in ring {
+                    h.part(&at.to_le_bytes());
+                    h.part(&v.to_bits().to_le_bytes());
+                }
+            }
+            SeriesData::Hist(ring) => {
+                for (at, snap) in ring {
+                    let ex = snap.exemplar().map_or([u64::MAX; 2], |e| [e.value, e.tag]);
+                    let fields = [
+                        *at,
+                        snap.count(),
+                        snap.sum(),
+                        snap.min(),
+                        snap.max(),
+                        snap.quantile(0.50),
+                        snap.quantile(0.99),
+                        ex[0],
+                        ex[1],
+                    ];
+                    for f in fields {
+                        h.part(&f.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    for n in [tsdb.series_count() as u64, tsdb.ingested(), tsdb.evicted()] {
+        h.part(&n.to_le_bytes());
+    }
+    let fresh = h.0;
+    assert_eq!(
+        fresh, 0x2a3f_e7bb_b221_946a,
+        "fabric exports of `long` changed: if intended, set its expected digest to {fresh:#018x}"
+    );
 }
