@@ -956,7 +956,14 @@ impl PendingFrame {
 /// it and stay byte-identical to builds without it.
 struct FabricObserver {
     sampler: TailSampler,
-    pending: BTreeMap<(u32, u64), PendingFrame>,
+    /// Per tenant, the waypoints of every frame from `front[t]` on, in
+    /// seq order: each issued frame gets an entry (a phone-rendered one
+    /// a `local` entry) and each tenant presents in seq order, so a
+    /// frame's entry sits at `seq − front[t]` and presentation pops the
+    /// front.
+    pending: Vec<VecDeque<PendingFrame>>,
+    /// Per tenant, the seq of `pending[t]`'s front entry.
+    front: Vec<u64>,
     tsdb: Tsdb,
     clocks: Vec<ClockOffsetEstimator>,
     /// Ground-truth per-node service-clock skew, µs (the quantity the
@@ -974,7 +981,8 @@ impl FabricObserver {
                 sample::DEFAULT_HEAD_INTERVAL,
                 sample::DEFAULT_TENANT_BUDGET_BYTES,
             ),
-            pending: BTreeMap::new(),
+            pending: vec![VecDeque::new(); tenants],
+            front: vec![0; tenants],
             tsdb: Tsdb::new(TSDB_SLOTS),
             clocks: (0..nodes).map(|_| ClockOffsetEstimator::new()).collect(),
             skew_us: (0..nodes)
@@ -984,6 +992,22 @@ impl FabricObserver {
                 .collect(),
             tenant_labels: (0..tenants).map(|i| format!("t{i:03}")).collect(),
         }
+    }
+
+    /// Starts the waypoints of tenant `t`'s next issued frame `seq`.
+    fn track(&mut self, t: usize, seq: u64, waypoints: PendingFrame) {
+        debug_assert_eq!(
+            seq,
+            self.front[t] + self.pending[t].len() as u64,
+            "tenant {t} issues out of seq order"
+        );
+        self.pending[t].push_back(waypoints);
+    }
+
+    /// The waypoints of tenant `t`'s frame `seq`, until it is presented.
+    fn waypoints(&mut self, t: usize, seq: u64) -> Option<&mut PendingFrame> {
+        let i = seq.checked_sub(self.front[t])?;
+        self.pending[t].get_mut(i as usize)
     }
 
     /// Tail verdict at retirement: the frame's fate is known, so keep
@@ -1000,7 +1024,9 @@ impl FabricObserver {
         let tid = sample::trace_id(session_of(t), seq);
         // Waypoint cleanup is unconditional, but the span tree is built
         // inside the closure — only if the verdict keeps the frame.
-        let waypoints = self.pending.remove(&(t as u32, seq));
+        debug_assert_eq!(seq, self.front[t], "tenant {t} presents out of seq order");
+        let waypoints = self.pending[t].pop_front();
+        self.front[t] += 1;
         let latency_us = (shown - issued).as_micros();
         self.sampler
             .offer_with(t as u32, seq, tid, latency_us, verdict, |out, reason| {
@@ -1056,8 +1082,7 @@ impl FabricObserver {
 /// Builds the span tree for a retiring frame from its recorded
 /// waypoints: uplink → dispatch_wait → remote{replay, encode} →
 /// downlink → display_wait, or a single local_render stage for
-/// phone-rendered frames. Frames with no waypoints (issued before
-/// the observer saw them) get the minimal deterministic tree. A free
+/// phone-rendered frames and frames with no waypoints. A free
 /// function taking the waypoints by value so the tail sampler can run
 /// it lazily — only frames the verdict keeps pay for tree
 /// construction and serialization.
@@ -1574,10 +1599,10 @@ impl<'a> Fabric<'a> {
         if let Some(o) = self.obs.as_mut() {
             // Phone-rendered: the span tree collapses to one
             // local_render stage whatever came before.
-            o.pending
-                .entry((t as u32, job.seq))
-                .or_insert(PendingFrame::new(job.arrived, job.encode, true))
-                .local = true;
+            match o.waypoints(t, job.seq) {
+                Some(e) => e.local = true,
+                None => o.track(t, job.seq, PendingFrame::new(job.arrived, job.encode, true)),
+            }
         }
         self.present(t, job.seq, job.issued, ready, true);
     }
@@ -1619,7 +1644,7 @@ impl<'a> Fabric<'a> {
             if let Some(o) = self.obs.as_mut() {
                 // Waypoints for the span tree; a redispatch overwrites
                 // with the booking that actually completes.
-                if let Some(e) = o.pending.get_mut(&(t as u32, job.seq)) {
+                if let Some(e) = o.waypoints(t, job.seq) {
                     e.start = Some(dec.start);
                     e.finish = Some(dec.finish);
                 }
@@ -1909,7 +1934,7 @@ impl<'a> Fabric<'a> {
             self.c_downlink.add(job.down_bytes);
             self.tenants[t].downlink_counter().add(job.down_bytes);
             if let Some(o) = self.obs.as_mut() {
-                if let Some(e) = o.pending.get_mut(&(t as u32, job.seq)) {
+                if let Some(e) = o.waypoints(t, job.seq) {
                     e.down_end = Some(now + SimDuration::from_secs_f64(down_secs));
                 }
                 // NTP-style clock recovery from this booking's timestamp
@@ -1963,8 +1988,7 @@ impl<'a> Fabric<'a> {
             job.arrived = now + SimDuration::from_secs_f64(up_secs);
             self.uplinking.insert((t as u32, seq), job);
             if let Some(o) = self.obs.as_mut() {
-                let waypoints = PendingFrame::new(job.arrived, job.encode, false);
-                o.pending.insert((t as u32, seq), waypoints);
+                o.track(t, seq, PendingFrame::new(job.arrived, job.encode, false));
             }
             self.schedule(job.arrived.as_micros(), EV_ARRIVE, t as u64, seq);
         }

@@ -11,6 +11,8 @@
 //! histogram — a snapshot, a window slot, a stored TSDB point — is a
 //! [`HistogramSnapshot`], which keeps only the non-empty buckets: a
 //! latency stream touches a few dozen of the [`BUCKETS`] slots.
+//! [`HistogramCore::snapshot_into`] refills an existing snapshot in
+//! place, so a TSDB ring that wraps reuses its points' storage.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,7 +139,16 @@ impl HistogramCore {
 
     /// Takes a point-in-time copy.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut entries = Vec::new();
+        let mut out = HistogramSnapshot::default();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Overwrites every field of `out` with a point-in-time copy,
+    /// reusing its bucket storage: the TSDB refills an evicted ring
+    /// point this way instead of freeing it and allocating a new one.
+    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+        out.entries.clear();
         let lo = self.lo_bucket.load(Ordering::Relaxed);
         if lo != u64::MAX {
             let hi = (self.hi_bucket.load(Ordering::Relaxed) as usize).min(BUCKETS - 1);
@@ -150,25 +161,23 @@ impl HistogramCore {
             {
                 let c = b.load(Ordering::Relaxed);
                 if c > 0 {
-                    entries.push((u32::try_from(i).expect("bucket index fits u32"), c));
+                    out.entries
+                        .push((u32::try_from(i).expect("bucket index fits u32"), c));
                 }
             }
         }
-        HistogramSnapshot {
-            entries,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            exemplar: if self.ex_has.load(Ordering::Relaxed) != 0 {
-                Some(Exemplar {
-                    value: self.ex_value.load(Ordering::Relaxed),
-                    tag: self.ex_tag.load(Ordering::Relaxed),
-                })
-            } else {
-                None
-            },
-        }
+        out.count = self.count.load(Ordering::Relaxed);
+        out.sum = self.sum.load(Ordering::Relaxed);
+        out.max = self.max.load(Ordering::Relaxed);
+        out.min = self.min.load(Ordering::Relaxed);
+        out.exemplar = if self.ex_has.load(Ordering::Relaxed) != 0 {
+            Some(Exemplar {
+                value: self.ex_value.load(Ordering::Relaxed),
+                tag: self.ex_tag.load(Ordering::Relaxed),
+            })
+        } else {
+            None
+        };
     }
 }
 

@@ -9,8 +9,13 @@
 use std::collections::BTreeMap;
 
 /// Appends `s` to `out` with JSON string escaping (no surrounding
-/// quotes).
+/// quotes). A string with nothing to escape — every name the exporters
+/// write — is appended whole.
 pub fn escape_into(s: &str, out: &mut String) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -33,6 +38,22 @@ pub fn quote(s: &str) -> String {
     escape_into(s, &mut out);
     out.push('"');
     out
+}
+
+/// Appends the decimal digits of `v` to `out`, with no temporary
+/// `String`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Formats an `f64` as JSON (finite values only; NaN/inf become `null`).
@@ -313,6 +334,25 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(quote("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_characters() {
+        let mut out = String::new();
+        escape_into("plain.name_0", &mut out);
+        assert_eq!(out, "plain.name_0");
+        out.clear();
+        escape_into("q\"b\\t\tc\u{1f}é", &mut out);
+        assert_eq!(out, "q\\\"b\\\\t\\tc\\u001fé");
+    }
+
+    #[test]
+    fn push_u64_matches_display() {
+        for v in [0u64, 7, 10, 99, 1_000_001, u64::MAX] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

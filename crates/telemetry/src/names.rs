@@ -107,13 +107,15 @@ pub mod tracing {
 }
 
 /// Embedded ring-buffer time-series database
-/// (crates/telemetry/src/{tsdb,query}.rs).
+/// (crates/telemetry/src/{tsdb,query}.rs). The fabric observer sets all
+/// three gauges once, at the end of the run, just before the closing
+/// scrape, so they leave out that scrape's points.
 pub mod tsdb {
-    /// Distinct series held at finalize (gauge).
+    /// Distinct series held (gauge).
     pub const SERIES: &str = "tsdb.series";
-    /// Samples ingested over the run (counter).
+    /// Points ingested over the run (gauge).
     pub const SAMPLES: &str = "tsdb.samples";
-    /// Samples evicted by the fixed-slot ring (counter).
+    /// Points evicted by the fixed-slot rings (gauge).
     pub const POINTS_EVICTED: &str = "tsdb.points_evicted";
 }
 

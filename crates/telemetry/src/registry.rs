@@ -288,50 +288,49 @@ impl Registry {
     /// windowed streams' merged views as cumulative snapshots. Going
     /// through [`Registry::snapshot`] would materialize three
     /// `BTreeMap`s and re-own every metric name on every scrape; this
-    /// walks the instruments in place.
-    pub fn scrape_into(
-        &self,
-        db: &mut crate::tsdb::Tsdb,
-        at: gbooster_sim::time::SimTime,
-        labels: &[(&str, &str)],
-    ) {
-        for (&k, v) in self
-            .inner
-            .counters
-            .lock()
-            .expect("counter registry poisoned")
-            .iter()
-        {
-            #[allow(clippy::cast_precision_loss)]
-            db.record(at, k, labels, v.get() as f64);
-        }
-        for (&k, v) in self
-            .inner
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .iter()
-        {
-            db.record(at, k, labels, v.get());
-        }
-        for (&k, v) in self
-            .inner
-            .histograms
-            .lock()
-            .expect("histogram registry poisoned")
-            .iter()
-        {
-            db.record_hist(at, k, labels, v.snapshot());
-        }
-        for (&k, v) in self
-            .inner
-            .windowed
-            .lock()
-            .expect("windowed registry poisoned")
-            .iter()
-        {
-            db.record_hist(at, k, labels, v.merged());
-        }
+    /// walks the instruments in place, in a fixed order the TSDB
+    /// remembers each instrument's series by, and copies a histogram
+    /// straight into the ring point it overwrites.
+    pub fn scrape_into(&self, db: &mut crate::tsdb::Tsdb, at: SimTime, labels: &[(&str, &str)]) {
+        db.scrape(at, labels, |scrape| {
+            for (&k, v) in self
+                .inner
+                .counters
+                .lock()
+                .expect("counter registry poisoned")
+                .iter()
+            {
+                #[allow(clippy::cast_precision_loss)]
+                scrape.scalar(k, v.get() as f64);
+            }
+            for (&k, v) in self
+                .inner
+                .gauges
+                .lock()
+                .expect("gauge registry poisoned")
+                .iter()
+            {
+                scrape.scalar(k, v.get());
+            }
+            for (&k, v) in self
+                .inner
+                .histograms
+                .lock()
+                .expect("histogram registry poisoned")
+                .iter()
+            {
+                scrape.hist(k, |snap| v.0.snapshot_into(snap));
+            }
+            for (&k, v) in self
+                .inner
+                .windowed
+                .lock()
+                .expect("windowed registry poisoned")
+                .iter()
+            {
+                scrape.hist(k, |snap| *snap = v.merged());
+            }
+        });
     }
 }
 

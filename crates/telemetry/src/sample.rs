@@ -10,8 +10,10 @@
 //! discarded.
 //!
 //! Retention is bounded per tenant by a byte budget over the
-//! serialized trace lines. When a tenant exceeds its budget the
-//! *oldest kept* trace is evicted first — except the tenant's
+//! serialized trace lines. A kept trace is serialized into one reused
+//! buffer and stored as an exact-size copy, so the lines a tenant
+//! holds take the heap its budget counts. When a tenant exceeds its
+//! budget the *oldest kept* trace is evicted first — except the tenant's
 //! worst-latency kept trace, which is pinned so the trace-id exemplars
 //! the latency histograms carry (see
 //! [`crate::hist::HistogramCore::record_tagged`]) always resolve to a
@@ -20,6 +22,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::json::push_u64;
 use crate::trace::FrameTrace;
 
 /// Default deterministic head-sample interval: keep 1 frame in 16
@@ -121,6 +124,9 @@ pub struct TailSampler {
     head_interval: u64,
     tenant_budget_bytes: u64,
     tenants: BTreeMap<u32, TenantTraces>,
+    /// Reused serialization buffer, left empty between offers; each
+    /// kept line is an exact-size copy of it.
+    scratch: String,
     kept: u64,
     dropped: u64,
     evictions: u64,
@@ -135,6 +141,7 @@ impl TailSampler {
             head_interval,
             tenant_budget_bytes,
             tenants: BTreeMap::new(),
+            scratch: String::new(),
             kept: 0,
             dropped: 0,
             evictions: 0,
@@ -191,8 +198,9 @@ impl TailSampler {
             self.dropped += 1;
             return None;
         };
-        let mut line = String::with_capacity(128);
-        serialize(&mut line, reason);
+        serialize(&mut self.scratch, reason);
+        let line = self.scratch.as_str().to_owned();
+        self.scratch.clear();
         let bytes = line.len() as u64;
         if bytes > self.tenant_budget_bytes {
             // One line wider than the whole budget can never be
@@ -306,13 +314,15 @@ pub fn serialize_into(
     reason: KeepReason,
     trace: &FrameTrace,
 ) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"tenant\":{tenant},\"trace_id\":{trace_id},\"seq\":{},\"reason\":\"{}\",\"span\":",
-        trace.seq,
-        reason.as_str()
-    );
+    out.push_str("{\"tenant\":");
+    push_u64(out, u64::from(tenant));
+    out.push_str(",\"trace_id\":");
+    push_u64(out, trace_id);
+    out.push_str(",\"seq\":");
+    push_u64(out, trace.seq);
+    out.push_str(",\"reason\":\"");
+    out.push_str(reason.as_str());
+    out.push_str("\",\"span\":");
     trace.root.write_json(out);
     out.push('}');
 }
@@ -387,6 +397,19 @@ mod tests {
         assert_eq!(s.evictions(), 4);
         let ids: Vec<u64> = s.retained().map(|e| e.trace_id).collect();
         assert_eq!(ids, vec![trace_id(1, 0), trace_id(1, 5)]);
+    }
+
+    #[test]
+    fn kept_lines_are_exact_size() {
+        let mut s = TailSampler::new(1, u64::MAX);
+        let head = FrameVerdict::default();
+        for seq in [0u64, 9, 10, 99_999, 123_456_789] {
+            s.offer(0, seq, trace_id(1, seq), 10, head, &frame(seq));
+        }
+        assert_eq!(s.retained_count(), 5);
+        for e in s.retained() {
+            assert_eq!(e.line.capacity(), e.line.len(), "slack in {}", e.line);
+        }
     }
 
     #[test]

@@ -59,9 +59,9 @@ impl SpanNode {
         out.push_str("{\"name\":\"");
         crate::json::escape_into(self.name, out);
         out.push_str("\",\"start_us\":");
-        out.push_str(&self.start.as_micros().to_string());
+        crate::json::push_u64(out, self.start.as_micros());
         out.push_str(",\"end_us\":");
-        out.push_str(&self.end.as_micros().to_string());
+        crate::json::push_u64(out, self.end.as_micros());
         if !self.children.is_empty() {
             out.push_str(",\"children\":[");
             for (i, c) in self.children.iter().enumerate() {

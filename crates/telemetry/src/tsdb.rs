@@ -9,20 +9,25 @@
 //! the latter with a `tenant="tNNN"` label, periodically and once at
 //! the end of the run).
 //!
-//! Storage is deliberately simple and deterministic: series keyed by
-//! a canonical `name\x1fk\x1ev…` string (labels sorted), where
-//! scalars (counters, gauges) keep `(sim µs, f64)` points and
-//! histograms keep cumulative [`HistogramSnapshot`]s, which hold only
-//! the non-empty buckets, so range queries take exact deltas without
-//! a point costing a slot per bucket. Both kinds share one write path:
-//! a point at an instant the series already holds overwrites it, and
-//! when a ring is full the oldest point is evicted and counted. The
-//! query layer on top lives in [`crate::query`].
+//! Storage is deliberately simple and deterministic: series are
+//! identified by a canonical `name\x1fk\x1ev…` key (labels sorted),
+//! and every iteration — [`Tsdb::series`] and so every query answer —
+//! runs in key order. Scalars (counters, gauges) keep `(sim µs, f64)`
+//! points and histograms keep cumulative [`HistogramSnapshot`]s, which
+//! hold only the non-empty buckets, so range queries take exact deltas
+//! without a point costing a slot per bucket. Both kinds share one
+//! write path: a point at an instant the series already holds
+//! overwrites it, and when a ring is full the oldest point is evicted,
+//! counted, and its storage refilled with the new point. The query
+//! layer on top lives in [`crate::query`].
 //!
-//! The write path is on the fabric's scrape cadence (every registry,
-//! every interval), so it must not allocate per sample: the canonical
-//! key is formatted into a scratch buffer reused across records, and
-//! owned strings are built only the first time a series appears.
+//! The write path runs on the fabric's scrape cadence (every registry,
+//! every interval), and most of what it writes is evicted unread, so a
+//! point must cost little: a scrape resolves each instrument to its
+//! series through a per-label-set memo of the series each instrument
+//! position wrote last time, checked against the series' name, and
+//! formats a key only on a miss. Owned strings are built only the
+//! first time a series appears.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -59,6 +64,20 @@ impl SeriesData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn scalars(&mut self) -> Option<&mut Ring<f64>> {
+        match self {
+            SeriesData::Scalar(ring) => Some(ring),
+            SeriesData::Hist(_) => None,
+        }
+    }
+
+    fn hists(&mut self) -> Option<&mut Ring<HistogramSnapshot>> {
+        match self {
+            SeriesData::Hist(ring) => Some(ring),
+            SeriesData::Scalar(_) => None,
+        }
+    }
 }
 
 /// One stored series: its identity plus the ring of points.
@@ -90,18 +109,35 @@ impl Series {
 }
 
 /// Fixed-slot ring-buffer TSDB. See the module docs.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Tsdb {
     slots: usize,
-    /// Canonical key (see [`write_key`]) → series. The map is ordered,
-    /// so iteration — and therefore every query answer — is
-    /// deterministic.
-    series: BTreeMap<String, Series>,
-    /// Reused key-formatting buffer; always left empty between calls
-    /// so derived equality and clones stay value-based.
+    /// Every series, in first-seen order.
+    series: Vec<Series>,
+    /// Canonical key (see [`write_key`]) → position in `series`. The
+    /// map is ordered, so iteration — and therefore every query answer
+    /// — is deterministic.
+    index: BTreeMap<String, usize>,
+    /// Scrape memo: canonical label key → position in `memos`.
+    memo_of: BTreeMap<String, usize>,
+    /// Per label set, the series each instrument position of the last
+    /// scrape under it resolved to.
+    memos: Vec<Vec<usize>>,
+    /// Reused key-formatting buffer, left empty between calls.
     scratch: String,
     ingested: u64,
     evicted: u64,
+}
+
+/// Equality is over the stored series, their points and the counters;
+/// the scrape memo and the key buffer are caches, not state.
+impl PartialEq for Tsdb {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && self.ingested == other.ingested
+            && self.evicted == other.evicted
+            && self.series().eq(other.series())
+    }
 }
 
 /// Separators for the canonical key encoding: units 0x1f/0x1e never
@@ -146,7 +182,10 @@ impl Tsdb {
     pub fn new(slots: usize) -> Self {
         Tsdb {
             slots: slots.max(1),
-            series: BTreeMap::new(),
+            series: Vec::new(),
+            index: BTreeMap::new(),
+            memo_of: BTreeMap::new(),
+            memos: Vec::new(),
             scratch: String::new(),
             ingested: 0,
             evicted: 0,
@@ -177,42 +216,32 @@ impl Tsdb {
         self.evicted
     }
 
-    /// The series for `(name, labels)`, created empty via `make` on
-    /// first sight. Allocation-free for existing series.
-    fn series_mut(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        make: fn() -> SeriesData,
-    ) -> &mut SeriesData {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        write_key(&mut scratch, name, labels);
-        if !self.series.contains_key(scratch.as_str()) {
-            self.series.insert(
-                scratch.clone(),
-                Series {
+    /// The position of the series for `(name, labels)`, created empty
+    /// via `make` on first sight. Allocation-free for existing series.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], make: fn() -> SeriesData) -> usize {
+        let mut key = std::mem::take(&mut self.scratch);
+        write_key(&mut key, name, labels);
+        let idx = match self.index.get(key.as_str()) {
+            Some(&idx) => idx,
+            None => {
+                self.series.push(Series {
                     name: name.to_string(),
                     labels: owned_labels(labels),
                     data: make(),
-                },
-            );
-        }
-        let entry = self
-            .series
-            .get_mut(scratch.as_str())
-            .expect("series just ensured");
-        scratch.clear();
-        self.scratch = scratch;
-        &mut entry.data
+                });
+                self.index.insert(key.clone(), self.series.len() - 1);
+                self.series.len() - 1
+            }
+        };
+        key.clear();
+        self.scratch = key;
+        idx
     }
 
     /// Records one scalar point.
     pub fn record(&mut self, at: SimTime, name: &str, labels: &[(&str, &str)], value: f64) {
-        let make = || SeriesData::Scalar(VecDeque::new());
-        self.push(at, name, labels, value, make, |data| match data {
-            SeriesData::Scalar(ring) => Some(ring),
-            SeriesData::Hist(_) => None,
-        });
+        let idx = self.resolve(name, labels, new_scalar);
+        self.push(idx, at, SeriesData::scalars, |v| *v = value);
     }
 
     /// Records one cumulative histogram snapshot.
@@ -223,47 +252,76 @@ impl Tsdb {
         labels: &[(&str, &str)],
         snap: HistogramSnapshot,
     ) {
-        let make = || SeriesData::Hist(VecDeque::new());
-        self.push(at, name, labels, snap, make, |data| match data {
-            SeriesData::Hist(ring) => Some(ring),
-            SeriesData::Scalar(_) => None,
-        });
+        let idx = self.resolve(name, labels, new_hist);
+        self.push(idx, at, SeriesData::hists, |s| *s = snap);
     }
 
-    /// Appends one point to the `ring_of` ring of the series for
-    /// `(name, labels)`, created via `make` on first sight. A point at
-    /// a timestamp the series already holds overwrites in place
-    /// (re-scrape of the same instant), keeping timestamps strictly
-    /// increasing; past [`Tsdb::slots`] points the oldest is evicted.
-    fn push<T>(
+    /// Writes one point into the `ring_of` ring of series `idx`: `fill`
+    /// overwrites the point at `at` when the series already holds that
+    /// instant (re-scrape of the same instant), keeping timestamps
+    /// strictly increasing; past [`Tsdb::slots`] points it refills the
+    /// oldest point, which is evicted and counted; otherwise it fills a
+    /// fresh default point.
+    fn push<T: Default>(
         &mut self,
+        idx: usize,
         at: SimTime,
-        name: &str,
-        labels: &[(&str, &str)],
-        value: T,
-        make: fn() -> SeriesData,
         ring_of: fn(&mut SeriesData) -> Option<&mut Ring<T>>,
+        fill: impl FnOnce(&mut T),
     ) {
-        let slots = self.slots;
-        let Some(ring) = ring_of(self.series_mut(name, labels, make)) else {
-            debug_assert!(false, "point of the wrong kind for series {name}");
+        let series = &mut self.series[idx];
+        let Some(ring) = ring_of(&mut series.data) else {
+            debug_assert!(false, "point of the wrong kind for series {}", series.name);
             return;
         };
         let t = at.as_micros();
         if let Some(last) = ring.back_mut() {
             if last.0 == t {
-                last.1 = value;
+                fill(&mut last.1);
                 return;
             }
-            debug_assert!(last.0 < t, "out-of-order point for {name}");
+            debug_assert!(last.0 < t, "out-of-order point for {}", series.name);
         }
-        ring.push_back((t, value));
-        let over = ring.len() > slots;
-        if over {
-            ring.pop_front();
-        }
+        let full = ring.len() >= self.slots;
+        let mut point = if full {
+            ring.pop_front().expect("a full ring holds a point")
+        } else {
+            (t, T::default())
+        };
+        point.0 = t;
+        fill(&mut point.1);
+        ring.push_back(point);
         self.ingested += 1;
-        self.evicted += u64::from(over);
+        self.evicted += u64::from(full);
+    }
+
+    /// Runs one registry scrape at `at` under `labels`: `walk` hands
+    /// every instrument to the [`Scrape`] in the registry's fixed order.
+    pub(crate) fn scrape(
+        &mut self,
+        at: SimTime,
+        labels: &[(&str, &str)],
+        walk: impl FnOnce(&mut Scrape<'_>),
+    ) {
+        let mut key = std::mem::take(&mut self.scratch);
+        write_key(&mut key, "", labels);
+        let memo = match self.memo_of.get(key.as_str()) {
+            Some(&memo) => memo,
+            None => {
+                self.memos.push(Vec::new());
+                self.memo_of.insert(key.clone(), self.memos.len() - 1);
+                self.memos.len() - 1
+            }
+        };
+        key.clear();
+        self.scratch = key;
+        walk(&mut Scrape {
+            db: self,
+            at,
+            labels,
+            memo,
+            pos: 0,
+        });
     }
 
     /// All series whose name is exactly `name` and whose labels are a
@@ -273,7 +331,7 @@ impl Tsdb {
         name: &'a str,
         labels: &'a [(String, String)],
     ) -> impl Iterator<Item = &'a Series> {
-        self.series.values().filter(move |s| {
+        self.series().filter(move |s| {
             s.name == name
                 && labels
                     .iter()
@@ -283,7 +341,65 @@ impl Tsdb {
 
     /// Iterates every series, in key order.
     pub fn series(&self) -> impl Iterator<Item = &Series> {
-        self.series.values()
+        self.index.values().map(|&idx| &self.series[idx])
+    }
+}
+
+fn new_scalar() -> SeriesData {
+    SeriesData::Scalar(VecDeque::new())
+}
+
+fn new_hist() -> SeriesData {
+    SeriesData::Hist(VecDeque::new())
+}
+
+/// One registry's scrape in progress (see [`Tsdb::scrape`]).
+pub(crate) struct Scrape<'a> {
+    db: &'a mut Tsdb,
+    at: SimTime,
+    labels: &'a [(&'a str, &'a str)],
+    /// Index of this label set's memo in [`Tsdb::memos`].
+    memo: usize,
+    /// Position of the next instrument in the registry's order.
+    pos: usize,
+}
+
+impl Scrape<'_> {
+    /// Writes a counter's or gauge's value.
+    pub(crate) fn scalar(&mut self, name: &str, value: f64) {
+        let idx = self.resolve(name, new_scalar);
+        self.db
+            .push(idx, self.at, SeriesData::scalars, |v| *v = value);
+    }
+
+    /// Writes a histogram point; `fill` overwrites every field of the
+    /// snapshot it is handed.
+    pub(crate) fn hist(&mut self, name: &str, fill: impl FnOnce(&mut HistogramSnapshot)) {
+        let idx = self.resolve(name, new_hist);
+        self.db.push(idx, self.at, SeriesData::hists, fill);
+    }
+
+    /// The series of the instrument at the next position: the one this
+    /// position resolved to last time under these labels when its name
+    /// still matches, else the one its key names. A miss happens when
+    /// an instrument was registered since the last scrape, or when
+    /// another registry was scraped under the same labels.
+    fn resolve(&mut self, name: &str, make: fn() -> SeriesData) -> usize {
+        let pos = self.pos;
+        self.pos += 1;
+        if let Some(&idx) = self.db.memos[self.memo].get(pos) {
+            if self.db.series[idx].name == name {
+                return idx;
+            }
+        }
+        let idx = self.db.resolve(name, self.labels, make);
+        let memo = &mut self.db.memos[self.memo];
+        if pos < memo.len() {
+            memo[pos] = idx;
+        } else {
+            memo.push(idx);
+        }
+        idx
     }
 }
 
@@ -357,6 +473,64 @@ mod tests {
         let want = vec![("tenant".to_string(), "t000".to_string())];
         let series = db.select("h.lat", &want).next().expect("hist series");
         assert!(matches!(series.data(), SeriesData::Hist(r) if r.len() == 1));
+    }
+
+    #[test]
+    fn scrapes_match_one_point_records_while_instruments_appear() {
+        use crate::Registry;
+        use gbooster_sim::time::SimDuration;
+        // One group of instruments, one of each kind, is registered per
+        // step into one registry. A registry's groups land in the middle
+        // of name order, then at the end, the front and the middle again.
+        const GROUPS: [[&str; 4]; 4] = [
+            ["m.count", "m.gauge", "m.hist", "m.win"],
+            ["z.count", "z.gauge", "z.hist", "z.win"],
+            ["a.count", "a.gauge", "a.hist", "a.win"],
+            ["p.count", "p.gauge", "p.hist", "p.win"],
+        ];
+        let regs = [Registry::new(), Registry::new(), Registry::new()];
+        // The last two registries share labels, so their series collide.
+        let labels: [&[(&str, &str)]; 3] = [&[], &[("tenant", "t001")], &[("tenant", "t001")]];
+        let mut scraped = Tsdb::new(4);
+        let mut recorded = Tsdb::new(4);
+        for step in 0..14u64 {
+            for (r, reg) in regs.iter().enumerate() {
+                let groups = (0..GROUPS.len()).filter(|&g| 3 * g + r <= step as usize);
+                for (g, [c, ga, h, w]) in groups.map(|g| (g as u64, GROUPS[g])) {
+                    let v = step * 31 + g * 7 + r as u64;
+                    reg.counter(c).add(v);
+                    #[allow(clippy::cast_precision_loss)]
+                    reg.gauge(ga).set(v as f64 / 4.0);
+                    reg.histogram(h).record_tagged(v * v % 9_973, v);
+                    reg.windowed(w, SimDuration::from_millis(100), 4)
+                        .record(t(step * 250), v * 13);
+                }
+            }
+            let at = t(step * 250);
+            for (reg, labels) in regs.iter().zip(labels) {
+                reg.scrape_into(&mut scraped, at, labels);
+                let snap = reg.snapshot();
+                for (name, &v) in &snap.counters {
+                    #[allow(clippy::cast_precision_loss)]
+                    recorded.record(at, name, labels, v as f64);
+                }
+                for (name, &v) in &snap.gauges {
+                    recorded.record(at, name, labels, v);
+                }
+                for (name, h) in &snap.histograms {
+                    recorded.record_hist(at, name, labels, h.clone());
+                }
+            }
+        }
+        assert!(scraped.evicted() > 0, "no ring wrapped");
+        assert_eq!(scraped.series_count(), 4 * 4 * 2);
+        let points = |db: &Tsdb| db.series().cloned().collect::<Vec<_>>();
+        assert_eq!(points(&scraped), points(&recorded));
+        assert_eq!(
+            (scraped.ingested(), scraped.evicted()),
+            (recorded.ingested(), recorded.evicted())
+        );
+        assert_eq!(scraped, recorded);
     }
 
     #[test]

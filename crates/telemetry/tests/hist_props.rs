@@ -1,6 +1,7 @@
 //! Property tests for the telemetry histograms (quantile ordering, the
-//! merge-equals-union law, and interval deltas).
+//! merge-equals-union law, interval deltas, and in-place snapshots).
 
+use gbooster_telemetry::hist::HistogramCore;
 use gbooster_telemetry::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
@@ -102,6 +103,30 @@ proptest! {
         prop_assert_eq!(s.count(), values.len() as u64);
         // Sum wraps at u64 in the store; compare modulo 2^64.
         prop_assert_eq!(s.sum(), sum as u64);
+    }
+
+    #[test]
+    fn snapshot_into_a_reused_snapshot_equals_snapshot(
+        dirt in samples(),
+        values in proptest::collection::vec(any::<u64>(), 0..50),
+        tags in proptest::collection::vec(any::<u64>(), 0..3),
+    ) {
+        // The reused snapshot holds another histogram's buckets, count,
+        // extremes and exemplar; none of them may leak through.
+        let old = HistogramCore::new();
+        for (i, &v) in dirt.iter().enumerate() {
+            old.record_tagged(v, i as u64);
+        }
+        let mut reused = old.snapshot();
+        let h = HistogramCore::new();
+        for &v in &values {
+            h.record(v);
+        }
+        for (&v, &tag) in values.iter().zip(&tags) {
+            h.record_tagged(v, tag);
+        }
+        h.snapshot_into(&mut reused);
+        prop_assert_eq!(reused, h.snapshot());
     }
 
     #[test]
