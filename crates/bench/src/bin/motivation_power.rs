@@ -57,7 +57,6 @@ fn main() {
             // a static scene (no damage tracking in the ref-[9] test).
             let _ = frame_pixels;
             gpu.step(frame_dt, 1.0);
-            cpu.execute(0.002, 1);
             cpu.step(frame_dt, 0.12);
         }
         let gpu_w = gpu.energy_joules() / seconds as f64;

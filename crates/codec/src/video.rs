@@ -9,7 +9,7 @@
 //! 7 MegaPixel/sec in which the application generates raw frames."
 //!
 //! We do not need a real H.264 encoder to reproduce that *comparison* —
-//! only its speed/ratio envelope, which the paper itself supplies. This
+//! only its speed envelope, which the paper itself supplies. This
 //! module is explicitly a model (see DESIGN.md substitution table); the
 //! Turbo path next door is a real codec.
 
@@ -25,13 +25,11 @@ pub enum EncoderHost {
     X86,
 }
 
-/// Throughput/ratio envelope of an x264-class encoder.
+/// Throughput envelope of an x264-class encoder.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VideoEncoderModel {
     /// Encoding throughput, megapixels per second.
     pub speed_mpixels_per_sec: f64,
-    /// Compressed ÷ raw ratio for game content at streaming bitrates.
-    pub ratio: f64,
     /// Per-frame codec latency floor (lookahead/B-frame pipeline).
     pub latency_floor: Duration,
 }
@@ -43,12 +41,10 @@ impl VideoEncoderModel {
         match host {
             EncoderHost::Arm => VideoEncoderModel {
                 speed_mpixels_per_sec: 1.0,
-                ratio: 0.01,
                 latency_floor: Duration::from_millis(30),
             },
             EncoderHost::X86 => VideoEncoderModel {
                 speed_mpixels_per_sec: 60.0,
-                ratio: 0.01,
                 latency_floor: Duration::from_millis(12),
             },
         }

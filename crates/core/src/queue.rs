@@ -92,11 +92,6 @@ impl ServiceQueue {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Enqueues a request.
     pub fn push(&mut self, request: Request) {
         self.pending.push_back(request);
@@ -290,7 +285,6 @@ mod tests {
         let mut q = ServiceQueue::new(Policy::Priority);
         assert!(q.is_empty());
         assert!(q.drain().is_empty());
-        assert_eq!(q.policy(), Policy::Priority);
         assert_eq!(q.len(), 0);
     }
 }

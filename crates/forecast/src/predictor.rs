@@ -93,11 +93,6 @@ impl TrafficPredictor {
         }
     }
 
-    /// Surge threshold (the Bluetooth throughput budget).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Exogenous inputs expected by [`TrafficPredictor::observe`].
     pub fn n_inputs(&self) -> usize {
         match &self.backend {
@@ -270,9 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn threshold_accessible() {
+    fn n_inputs_follow_the_constructor() {
         let p = TrafficPredictor::arma(1, 0, 21.0);
-        assert_eq!(p.threshold(), 21.0);
         assert_eq!(p.n_inputs(), 0);
         let px = TrafficPredictor::armax(1, 0, 1, 2, 21.0);
         assert_eq!(px.n_inputs(), 2);

@@ -55,20 +55,18 @@ impl CpuSpec {
     }
 }
 
-/// A stateful CPU tracking utilization and energy.
-///
-/// Work is expressed in *giga-cycles* (billions of clock cycles); a task
-/// with parallelism `p` may use up to `p` cores.
+/// A stateful CPU accruing energy at a given utilization.
 ///
 /// # Examples
 ///
 /// ```
 /// use gbooster_sim::cpu::{CpuModel, CpuSpec};
+/// use gbooster_sim::time::SimDuration;
 ///
 /// let mut cpu = CpuModel::new(CpuSpec::phone(2.26, 4));
-/// // One giga-cycle of single-threaded work on a 2.26 GHz core:
-/// let t = cpu.execute(1.0, 1);
-/// assert!((t.as_secs_f64() - 1.0 / 2.26).abs() < 1e-6);
+/// // Ten seconds at full load draw the phone CPU's 2 W peak.
+/// cpu.step(SimDuration::from_secs(10), 1.0);
+/// assert!((cpu.energy_joules() - 20.0).abs() < 1e-9);
 /// ```
 #[derive(Clone, Debug)]
 pub struct CpuModel {
@@ -83,22 +81,6 @@ impl CpuModel {
             spec,
             energy_j: 0.0,
         }
-    }
-
-    /// Time to execute `gcycles` giga-cycles of work with at most
-    /// `parallelism` threads. Returns the wall-clock duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gcycles` is negative/non-finite or `parallelism` is zero.
-    pub fn execute(&mut self, gcycles: f64, parallelism: u32) -> SimDuration {
-        assert!(
-            gcycles.is_finite() && gcycles >= 0.0,
-            "invalid work: {gcycles}"
-        );
-        assert!(parallelism > 0, "parallelism must be nonzero");
-        let cores_used = parallelism.min(self.spec.cores) as f64;
-        SimDuration::from_secs_f64(gcycles / (self.spec.clock_ghz * cores_used))
     }
 
     /// Advances wall time by `dt` at the given whole-chip utilization,
@@ -134,20 +116,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_threaded_speed_matches_clock() {
-        let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
-        let t = cpu.execute(4.0, 1);
-        assert!((t.as_secs_f64() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_work_scales_to_core_count() {
-        let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
-        let t = cpu.execute(4.0, 8); // asks for 8, capped at 4 cores
-        assert!((t.as_secs_f64() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn power_interpolates_between_idle_and_max() {
         let cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
         assert!((cpu.power_w(0.0) - 0.1).abs() < 1e-9);
@@ -160,12 +128,5 @@ mod tests {
         let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
         let e = cpu.step(SimDuration::from_secs(10), 1.0);
         assert!((e - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallelism must be nonzero")]
-    fn zero_parallelism_panics() {
-        let mut cpu = CpuModel::new(CpuSpec::phone(2.0, 4));
-        cpu.execute(1.0, 0);
     }
 }
