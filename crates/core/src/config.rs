@@ -90,8 +90,9 @@ pub struct OffloadConfig {
     /// Resolution rendered remotely and streamed back. Each side must be
     /// in `1..=65_535`.
     pub render_resolution: (u32, u32),
-    /// Stitched frame traces retained by the flight recorder (the last N
-    /// frames dumped on a fault).
+    /// Stitched frame traces a flight dump carries: on a fault, the last
+    /// N frames of the session's trace log are copied into the dump
+    /// (0 counts as 1). Nothing is allocated from this value up front.
     pub flight_recorder_depth: usize,
     /// Live-ops layer: streaming SLO objectives, alerting, anomaly
     /// detection, and incident correlation.

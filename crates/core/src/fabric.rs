@@ -857,7 +857,6 @@ struct TenantState {
     reorder: ReorderBuffer<(SimTime, SimTime)>,
     last_present: SimTime,
     frames_issued: u64,
-    frames_presented: u64,
     service_secs: f64,
     latency_ewma_ms: f64,
     local_mode: bool,
@@ -880,7 +879,6 @@ impl TenantState {
             reorder: ReorderBuffer::new(),
             last_present: SimTime::ZERO,
             frames_issued: 0,
-            frames_presented: 0,
             service_secs: 0.0,
             latency_ewma_ms: 0.0,
             local_mode: false,
@@ -1361,7 +1359,7 @@ impl<'a> Fabric<'a> {
             active_mig: vec![None; n],
             cutover_at: vec![None; n],
             pending_off: vec![0; nodes],
-            flight: FlightRecorder::new(8),
+            flight: FlightRecorder::new(),
             rebal: cfg.rebalance.map(|p| Rebalancer::new(nodes, p)),
             obs: cfg.observe.map(|_| FabricObserver::new(cfg.seed, nodes, n)),
             end_us: cfg.duration.as_micros(),
@@ -1575,12 +1573,11 @@ impl<'a> Fabric<'a> {
                     st.latency_histogram().record(lat.as_micros());
                 }
             }
-            st.frames_presented += 1;
             // SLO hysteresis: a persistently-breached session sheds
             // itself onto the phone GPU.
             st.latency_ewma_ms = SLO_ALPHA * lat_ms + (1.0 - SLO_ALPHA) * st.latency_ewma_ms;
             let fell_back = !st.local_mode
-                && st.frames_presented >= SLO_MIN_FRAMES
+                && st.reorder.awaiting() >= SLO_MIN_FRAMES
                 && st.latency_ewma_ms > st.spec.slo_ms * SLO_ENGAGE_FACTOR;
             st.local_mode |= fell_back;
             if local {
@@ -1730,7 +1727,7 @@ impl<'a> Fabric<'a> {
                 .counter(names::migrate::ABORTED)
                 .add(movers.len() as u64);
             self.flight
-                .trigger(Fault::MigrationStalled, now, self.pool.snapshot());
+                .trigger(Fault::MigrationStalled, now, &[], self.pool.snapshot());
             return;
         }
         self.draining[node] = true;
@@ -1817,7 +1814,7 @@ impl<'a> Fabric<'a> {
                 self.pending_off[src] -= 1;
                 self.count(t, names::migrate::ABORTED, 1);
                 self.flight
-                    .trigger(Fault::MigrationStalled, now, self.pool.snapshot());
+                    .trigger(Fault::MigrationStalled, now, &[], self.pool.snapshot());
             }
         }
     }
@@ -2026,7 +2023,7 @@ impl<'a> Fabric<'a> {
                 title: st.spec.title.id,
                 admitted,
                 frames_issued: st.frames_issued,
-                frames_presented: st.frames_presented,
+                frames_presented: st.reorder.awaiting(),
                 frames_local: snap.counter(names::fabric::LOCAL_FRAMES),
                 redispatches: snap.counter(names::fabric::REDISPATCHES),
                 uplink_bytes: snap.counter(names::fabric::UPLINK_BYTES),
@@ -2036,7 +2033,7 @@ impl<'a> Fabric<'a> {
                 p99_us,
                 slo_ms: st.spec.slo_ms,
                 slo_met: admitted
-                    && st.frames_presented > 0
+                    && st.reorder.awaiting() > 0
                     && p99_us as f64 / 1e3 <= st.spec.slo_ms,
                 gapless: st.reorder.held() == 0 && st.reorder.awaiting() == st.frames_issued,
                 incidents: st.incidents,
@@ -2085,7 +2082,7 @@ impl<'a> Fabric<'a> {
         let blackout_ms = (self.tenants.iter())
             .filter(|st| st.migrations > 0)
             .map(|st| {
-                let missing = st.frames_issued - st.frames_presented + st.reorder.held() as u64;
+                let missing = st.frames_issued - st.reorder.awaiting() + st.reorder.held() as u64;
                 missing as f64 * (1e3 / st.spec.fps)
             })
             .fold(0.0f64, f64::max);

@@ -326,42 +326,6 @@ fn encoded_bytes(runtimes: &[ServiceRuntime], changed_px: u64) -> usize {
     runtimes[0].encoded_bytes(changed_px)
 }
 
-/// Pre-resolved per-stage latency histogram handles for the offload
-/// pipeline (one per [`names::stage::PIPELINE`] entry plus the total).
-struct StageHists {
-    intercept: Histogram,
-    resolve: Histogram,
-    cache: Histogram,
-    lz4: Histogram,
-    uplink: Histogram,
-    dispatch_wait: Histogram,
-    render: Histogram,
-    encode: Histogram,
-    downlink: Histogram,
-    decode: Histogram,
-    display_wait: Histogram,
-    total: Histogram,
-}
-
-impl StageHists {
-    fn new(registry: &Registry) -> Self {
-        StageHists {
-            intercept: registry.histogram(names::stage::INTERCEPT),
-            resolve: registry.histogram(names::stage::RESOLVE),
-            cache: registry.histogram(names::stage::CACHE),
-            lz4: registry.histogram(names::stage::LZ4),
-            uplink: registry.histogram(names::stage::UPLINK),
-            dispatch_wait: registry.histogram(names::stage::DISPATCH_WAIT),
-            render: registry.histogram(names::stage::RENDER),
-            encode: registry.histogram(names::stage::ENCODE),
-            downlink: registry.histogram(names::stage::DOWNLINK),
-            decode: registry.histogram(names::stage::DECODE),
-            display_wait: registry.histogram(names::stage::DISPLAY_WAIT),
-            total: registry.histogram(names::stage::TOTAL),
-        }
-    }
-}
-
 /// Splits the variable (per-byte) part of the phone-side forwarding cost
 /// across its three sub-stages. The fractions attribute the measured
 /// profile of the pipeline — deferred resolution dominates, the LRU probe
@@ -615,9 +579,15 @@ struct OffloadEngine {
     registry: Registry,
     trace_log: TraceLog,
     remote_log: RemoteSpanLog,
-    stages: StageHists,
+    /// One latency histogram per [`names::stage::PIPELINE`] entry, in
+    /// that order.
+    stage_hists: [Histogram; names::stage::PIPELINE.len()],
+    total_hist: Histogram,
     remote_hists: Vec<Histogram>,
     flight: FlightRecorder,
+    /// Frames a flight dump carries: the trace log's last
+    /// `flight_recorder_depth` (at least one).
+    flight_depth: usize,
     c_degraded: Counter,
     c_idle: Counter,
     c_stitched: Counter,
@@ -654,13 +624,11 @@ struct OffloadEngine {
     faults: FaultInjection,
     duration: SimTime,
     // Pipeline state.
-    node_dead: Vec<bool>,
     node_loss_pending: bool,
     retx_base: u64,
     wakes_base: u64,
     pending: Vec<PendingFrame>,
     arrived: ReorderBuffer<ArrivedFrame>,
-    presented: Vec<SimTime>,
     next_seq: u64,
     app_free: SimTime,
     decode_free: SimTime,
@@ -723,20 +691,20 @@ impl OffloadEngine {
         // rendering requests — Section VI-A).
         let bd = self.buffer_depth as u64;
         if s >= bd {
-            while (self.presented.len() as u64) < s - bd + 1 {
+            while (self.fps.frame_count() as u64) < s - bd + 1 {
                 self.retire_one();
             }
-            start = start.max(self.presented[(s - bd) as usize]);
+            start = start.max(self.fps.present_times()[(s - bd) as usize]);
         }
         // The hard in-flight cap: dispatched, in transit, or held for
         // reordering. Retiring a frame to free a slot is a window stall.
         let wi = self.max_inflight as u64;
         if s >= wi {
-            while (self.presented.len() as u64) < s - wi + 1 {
+            while (self.fps.frame_count() as u64) < s - wi + 1 {
                 self.c_window_stalls.inc();
                 self.retire_one();
             }
-            start = start.max(self.presented[(s - wi) as usize]);
+            start = start.max(self.fps.present_times()[(s - wi) as usize]);
         }
         let animate = self.duty_rng.gen_bool(self.animation_duty);
         if !animate {
@@ -815,7 +783,7 @@ impl OffloadEngine {
         );
         let commands = self.reference_ingest_wire(&fwd.wire)?;
         for (j, rt) in self.runtimes.iter_mut().enumerate() {
-            if self.node_dead[j] {
+            if !self.dispatcher.nodes()[j].alive() {
                 continue;
             }
             if j == decision.node {
@@ -878,7 +846,7 @@ impl OffloadEngine {
             match ev {
                 NodeEvent::Kill { node, .. } => {
                     self.node_up[node] = false;
-                    if !self.node_dead[node] {
+                    if self.dispatcher.nodes()[node].alive() {
                         self.health.force_dead(node, now);
                         self.kill_node(node, now);
                     }
@@ -923,7 +891,7 @@ impl OffloadEngine {
                 match ev {
                     HealthEvent::Suspected(_) | HealthEvent::Recovered(_) => {}
                     HealthEvent::Died(n) => {
-                        if !self.node_dead[n] {
+                        if self.dispatcher.nodes()[n].alive() {
                             self.kill_node(n, now);
                         }
                     }
@@ -957,7 +925,6 @@ impl OffloadEngine {
             self.reference_ctx.digest(),
             "resynced node must match the reference state"
         );
-        self.node_dead[node] = false;
         self.dispatcher
             .revive_node(node, tx.delivered_at, REJOIN_WARMUP);
         self.health.rejoined(node, now);
@@ -1048,7 +1015,7 @@ impl OffloadEngine {
             let up = self.transport.send(fwd.wire.len(), app_done);
             let cmds = self.reference_ingest_wire(&fwd.wire)?;
             for (j, rt) in self.runtimes.iter_mut().enumerate() {
-                if !self.node_dead[j] {
+                if self.dispatcher.nodes()[j].alive() {
                     rt.apply_frame(&cmds, false)?;
                 }
             }
@@ -1121,7 +1088,6 @@ impl OffloadEngine {
     /// VI-B), so the new node only re-executes the draws, which never
     /// touch replicated state.
     fn kill_node(&mut self, node: usize, at: SimTime) {
-        self.node_dead[node] = true;
         self.c_node_failures.inc();
         // The engine is the pool's only tenant, but the outstanding
         // queue is session-qualified now — keep only our own frames
@@ -1279,52 +1245,35 @@ impl OffloadEngine {
         // onto the downlink while later tiles still encode, so the encode
         // tail may outlive the frame's presentation.
         let mut root = SpanNode::new(names::stage::FRAME, p.start, shown.max(p.finish));
-        root.stage(names::stage::INTERCEPT, p.fwd_start, p.intercept_end)
-            .stage(names::stage::RESOLVE, p.intercept_end, p.resolve_end)
-            .stage(names::stage::CACHE, p.resolve_end, p.cache_end)
-            .stage(names::stage::LZ4, p.cache_end, p.app_done)
-            .stage(names::stage::UPLINK, p.app_done, p.up.delivered_at)
-            .stage(
-                names::stage::DISPATCH_WAIT,
-                p.up.delivered_at,
-                p.dispatch_start,
-            )
-            .stage(names::stage::RENDER, p.dispatch_start, render_end)
-            .stage(names::stage::ENCODE, render_end, p.finish)
-            .stage(names::stage::DOWNLINK, down_start, down.delivered_at)
-            .stage(names::stage::DECODE, decode_start, decode_done)
-            .stage(names::stage::DISPLAY_WAIT, decode_done, shown);
+        // Each stage's bounds and its attribution node and interface, in
+        // `PIPELINE` order. Attribution mirrors the exact per-stage
+        // micros the histograms record, adding the node and interface
+        // axes.
         let service_node = format!("node{}", p.node);
-        for child in &root.children {
-            let hist = match child.name {
-                n if n == names::stage::INTERCEPT => &self.stages.intercept,
-                n if n == names::stage::RESOLVE => &self.stages.resolve,
-                n if n == names::stage::CACHE => &self.stages.cache,
-                n if n == names::stage::LZ4 => &self.stages.lz4,
-                n if n == names::stage::UPLINK => &self.stages.uplink,
-                n if n == names::stage::DISPATCH_WAIT => &self.stages.dispatch_wait,
-                n if n == names::stage::RENDER => &self.stages.render,
-                n if n == names::stage::ENCODE => &self.stages.encode,
-                n if n == names::stage::DOWNLINK => &self.stages.downlink,
-                n if n == names::stage::DECODE => &self.stages.decode,
-                _ => &self.stages.display_wait,
-            };
-            hist.record_duration_tagged(child.duration(), p.seq);
-            // Attribution mirrors the exact per-stage micros the
-            // histograms record, adding the node and interface axes.
-            let (node, iface) = match child.name {
-                n if n == names::stage::UPLINK => (names::attr::NODE_PHONE, p.up.iface_label()),
-                n if n == names::stage::DOWNLINK => (names::attr::NODE_PHONE, down.iface_label()),
-                n if n == names::stage::DISPATCH_WAIT
-                    || n == names::stage::RENDER
-                    || n == names::stage::ENCODE =>
-                {
-                    (service_node.as_str(), names::attr::IFACE_NONE)
-                }
-                _ => (names::attr::NODE_PHONE, names::attr::IFACE_NONE),
-            };
+        let (phone, service) = (names::attr::NODE_PHONE, service_node.as_str());
+        let no_iface = names::attr::IFACE_NONE;
+        let stages = [
+            (p.fwd_start, p.intercept_end, phone, no_iface),
+            (p.intercept_end, p.resolve_end, phone, no_iface),
+            (p.resolve_end, p.cache_end, phone, no_iface),
+            (p.cache_end, p.app_done, phone, no_iface),
+            (p.app_done, p.up.delivered_at, phone, p.up.iface_label()),
+            (p.up.delivered_at, p.dispatch_start, service, no_iface),
+            (p.dispatch_start, render_end, service, no_iface),
+            (render_end, p.finish, service, no_iface),
+            (down_start, down.delivered_at, phone, down.iface_label()),
+            (decode_start, decode_done, phone, no_iface),
+            (decode_done, shown, phone, no_iface),
+        ];
+        for ((name, hist), (start, end, node, iface)) in
+            (names::stage::PIPELINE.into_iter().zip(&self.stage_hists)).zip(stages)
+        {
+            // The span clamps `end >= start`; record what it holds.
+            let span = SpanNode::new(name, start, end);
+            hist.record_duration_tagged(span.duration(), p.seq);
             self.attr
-                .record_stage(child.name, node, iface, child.duration().as_micros());
+                .record_stage(name, node, iface, span.duration().as_micros());
+            root.push(span);
         }
         // Downlink byte attribution by frame kind: every received byte
         // belongs to exactly one presented frame, so this table sums to
@@ -1340,8 +1289,7 @@ impl OffloadEngine {
         // The total latency is app start to vsync display (what the user
         // perceives), not the root span's end, which may include the
         // overlapped encode tail.
-        self.stages
-            .total
+        self.total_hist
             .record_duration_tagged(shown - p.start, p.seq);
         if p.up.degraded || down.degraded {
             self.c_degraded.inc();
@@ -1393,8 +1341,7 @@ impl OffloadEngine {
             names::attr::IFACE_NONE,
             (shown - p.finish).as_micros(),
         );
-        self.stages
-            .total
+        self.total_hist
             .record_duration_tagged(shown - p.start, p.seq);
         self.c_frames_local.inc();
         self.finish_presentation(&p, root, shown, p.app_secs);
@@ -1409,14 +1356,12 @@ impl OffloadEngine {
         shown: SimTime,
         busy_secs: f64,
     ) {
-        // Flight recorder: retain the stitched trace, then run the fault
-        // detectors over this presentation's deltas. A node loss outranks
-        // the secondary symptoms it causes (timeouts on re-dispatched
-        // frames), so it is checked first.
-        let frame_trace = FrameTrace { seq: p.seq, root };
-        self.flight.on_frame(&frame_trace);
+        // Log the stitched trace, then run the fault detectors over this
+        // presentation's deltas; a dump is cut from the log's tail. A
+        // node loss outranks the secondary symptoms it causes (timeouts
+        // on re-dispatched frames), so it is checked first.
+        self.trace_log.push(FrameTrace { seq: p.seq, root });
         self.run_detectors(shown, p.unscheduled_wait);
-        self.trace_log.push(frame_trace);
 
         self.note_latency(shown, p.start);
         self.fps.record(shown);
@@ -1426,7 +1371,6 @@ impl OffloadEngine {
             self.dt_est = 0.9 * self.dt_est + 0.1 * interval;
         }
         self.last_shown = self.last_shown.max(shown);
-        self.presented.push(shown);
         self.sample_ops(shown, shown - p.start);
     }
 
@@ -1480,7 +1424,9 @@ impl OffloadEngine {
         self.wakes_base = wakes_now;
         if let Some(fault) = detected {
             self.c_faults.inc();
-            if self.flight.trigger(fault, shown, self.registry.snapshot()) {
+            let frames = self.trace_log.tail(self.flight_depth);
+            let snapshot = self.registry.snapshot();
+            if self.flight.trigger(fault, shown, frames, snapshot) {
                 self.c_dumps.inc();
             }
             if let Some(ops) = &mut self.ops {
@@ -1600,7 +1546,7 @@ fn run_offloaded(
     }
     let c_retx = registry.counter(names::net::RETRANSMITS);
     let c_wakes = registry.counter(names::net::WIFI_WAKES);
-    let mut flight = FlightRecorder::new(off.flight_recorder_depth);
+    let mut flight = FlightRecorder::new();
     let mut health = HealthMonitor::new(off.service_devices.len());
     health.attach_registry(&registry);
     // The live-ops runtime: windowed streams, burn-rate alerting, and
@@ -1653,12 +1599,14 @@ fn run_offloaded(
         duty_rng,
         trace_log,
         remote_log,
-        stages: StageHists::new(&registry),
+        stage_hists: names::stage::PIPELINE.map(|n| registry.histogram(n)),
+        total_hist: registry.histogram(names::stage::TOTAL),
         remote_hists: names::remote::STAGES
             .iter()
             .map(|&n| registry.histogram(n))
             .collect(),
         flight,
+        flight_depth: off.flight_recorder_depth.max(1),
         c_degraded: registry.counter(names::session::FRAMES_DEGRADED),
         c_idle: registry.counter(names::session::FRAMES_IDLE),
         c_stitched: registry.counter(names::tracing::STITCHED_FRAMES),
@@ -1709,13 +1657,11 @@ fn run_offloaded(
         max_inflight: off.max_inflight,
         faults: off.faults.clone(),
         duration: SimTime::from_secs(config.duration_secs),
-        node_dead: vec![false; off.service_devices.len()],
         node_loss_pending: false,
         retx_base: 0,
         wakes_base: 0,
         pending: Vec::new(),
         arrived: ReorderBuffer::new(),
-        presented: Vec::new(),
         next_seq: 0,
         app_free: first_up.delivered_at,
         decode_free: SimTime::ZERO,
@@ -1745,7 +1691,6 @@ fn run_offloaded(
         trace_log,
         remote_log,
         flight,
-        node_dead,
         last_shown,
         mut health,
         ops,
@@ -1853,8 +1798,8 @@ fn run_offloaded(
     let reference_digest = reference_ctx.digest();
     let state_consistent = runtimes
         .iter()
-        .zip(&node_dead)
-        .filter(|(_, &dead)| !dead)
+        .zip(dispatcher.nodes())
+        .filter(|(_, node)| node.alive())
         .all(|(rt, _)| rt.state_digest() == reference_digest);
     record_session_counters(&registry, fps.frame_count() as u64, &ledger, cpu_util);
     // Remote spans nobody claimed (a frame that never displayed, or a

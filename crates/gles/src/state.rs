@@ -173,7 +173,7 @@ pub struct GlContext {
     bound_framebuffer: FramebufferId,
     current_program: ProgramId,
 
-    caps: BTreeSet<CapabilityKey>,
+    caps: BTreeSet<Capability>,
     blend_src: BlendFactor,
     blend_dst: BlendFactor,
     depth_func: DepthFunc,
@@ -187,22 +187,6 @@ pub struct GlContext {
 
     frame_textures: BTreeSet<u32>,
     frame_stats: FrameStats,
-}
-
-// Capability as an orderable key for the BTreeSet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct CapabilityKey(u8);
-
-impl From<Capability> for CapabilityKey {
-    fn from(c: Capability) -> Self {
-        CapabilityKey(match c {
-            Capability::Blend => 0,
-            Capability::DepthTest => 1,
-            Capability::CullFace => 2,
-            Capability::ScissorTest => 3,
-            Capability::Dither => 4,
-        })
-    }
 }
 
 impl Default for GlContext {
@@ -515,10 +499,10 @@ impl GlContext {
                 }
             }
             GlCommand::Enable(cap) => {
-                self.caps.insert((*cap).into());
+                self.caps.insert(*cap);
             }
             GlCommand::Disable(cap) => {
-                self.caps.remove(&(*cap).into());
+                self.caps.remove(cap);
             }
             GlCommand::BlendFunc { src, dst } => {
                 self.blend_src = *src;
@@ -637,7 +621,7 @@ impl GlContext {
 
     /// Whether `cap` is enabled.
     pub fn is_enabled(&self, cap: Capability) -> bool {
-        self.caps.contains(&cap.into())
+        self.caps.contains(&cap)
     }
 
     /// Current clear color.
@@ -751,8 +735,8 @@ impl GlContext {
         h.write_u32(self.current_program.raw());
         h.write_u32(self.array_buffer.raw());
         h.write_u32(self.element_buffer.raw());
-        for cap in &self.caps {
-            h.write_u32(cap.0 as u32);
+        for &cap in &self.caps {
+            h.write_u32(cap as u32);
         }
         h.write_bytes(format!("{:?}{:?}", self.viewport, self.clear_color).as_bytes());
         for a in &self.attribs {
@@ -767,31 +751,7 @@ impl GlContext {
     /// (cf. the record-and-replay reconstruction in GPUReplay, but
     /// shipped as a state image rather than a log).
     pub fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot {
-            textures: self.textures.clone(),
-            buffers: self.buffers.clone(),
-            shaders: self.shaders.clone(),
-            programs: self.programs.clone(),
-            framebuffers: self.framebuffers.clone(),
-            array_buffer: self.array_buffer,
-            element_buffer: self.element_buffer,
-            texture_units: self.texture_units,
-            active_unit: self.active_unit,
-            bound_framebuffer: self.bound_framebuffer,
-            current_program: self.current_program,
-            caps: self.caps.clone(),
-            blend_src: self.blend_src,
-            blend_dst: self.blend_dst,
-            depth_func: self.depth_func,
-            depth_mask: self.depth_mask,
-            clear_color: self.clear_color,
-            clear_depth: self.clear_depth,
-            viewport: self.viewport,
-            scissor: self.scissor,
-            attribs: self.attribs.clone(),
-            frame_textures: self.frame_textures.clone(),
-            frame_stats: self.frame_stats.clone(),
-        }
+        StateSnapshot { ctx: self.clone() }
     }
 
     /// Reconstructs a context from a [`StateSnapshot`]. The result is
@@ -799,31 +759,7 @@ impl GlContext {
     /// [`GlContext::digest`], same [`GlContext::resident_bytes`], and it
     /// responds to subsequent commands exactly as the donor would.
     pub fn restore(snap: &StateSnapshot) -> GlContext {
-        GlContext {
-            textures: snap.textures.clone(),
-            buffers: snap.buffers.clone(),
-            shaders: snap.shaders.clone(),
-            programs: snap.programs.clone(),
-            framebuffers: snap.framebuffers.clone(),
-            array_buffer: snap.array_buffer,
-            element_buffer: snap.element_buffer,
-            texture_units: snap.texture_units,
-            active_unit: snap.active_unit,
-            bound_framebuffer: snap.bound_framebuffer,
-            current_program: snap.current_program,
-            caps: snap.caps.clone(),
-            blend_src: snap.blend_src,
-            blend_dst: snap.blend_dst,
-            depth_func: snap.depth_func,
-            depth_mask: snap.depth_mask,
-            clear_color: snap.clear_color,
-            clear_depth: snap.clear_depth,
-            viewport: snap.viewport,
-            scissor: snap.scissor,
-            attribs: snap.attribs.clone(),
-            frame_textures: snap.frame_textures.clone(),
-            frame_stats: snap.frame_stats.clone(),
-        }
+        snap.ctx.clone()
     }
 
     fn require_nonnull(&self, raw: u32, what: &str) -> Result<(), GlError> {
@@ -882,33 +818,13 @@ impl GlContext {
 /// rejoining service device current in one transfer (Section VI-B's
 /// replication invariant, re-established without history replay).
 ///
-/// Fields stay private: consumers go through [`GlContext::restore`] and
-/// the wire-cost accessor below.
+/// The image is a frozen copy of the context itself, so it cannot drift
+/// from the context's own declaration. The copy stays private: commands
+/// cannot be applied to a snapshot, and consumers go through
+/// [`GlContext::restore`] and the wire-cost accessors below.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
-    textures: BTreeMap<u32, TextureObject>,
-    buffers: BTreeMap<u32, BufferObject>,
-    shaders: BTreeMap<u32, ShaderObject>,
-    programs: BTreeMap<u32, ProgramObject>,
-    framebuffers: BTreeSet<u32>,
-    array_buffer: BufferId,
-    element_buffer: BufferId,
-    texture_units: [Option<TextureId>; MAX_TEXTURE_UNITS],
-    active_unit: u32,
-    bound_framebuffer: FramebufferId,
-    current_program: ProgramId,
-    caps: BTreeSet<CapabilityKey>,
-    blend_src: BlendFactor,
-    blend_dst: BlendFactor,
-    depth_func: DepthFunc,
-    depth_mask: bool,
-    clear_color: [f32; 4],
-    clear_depth: f32,
-    viewport: (i32, i32, u32, u32),
-    scissor: (i32, i32, u32, u32),
-    attribs: Vec<VertexAttrib>,
-    frame_textures: BTreeSet<u32>,
-    frame_stats: FrameStats,
+    ctx: GlContext,
 }
 
 /// Serialized per-object header overheads for the wire-cost model: a
@@ -928,37 +844,7 @@ impl StateSnapshot {
     /// per-object headers and the scalar-state block. This is what the
     /// session charges the uplink for a rejoin resync.
     pub fn wire_bytes(&self) -> u64 {
-        let textures: u64 = self
-            .textures
-            .values()
-            .map(|t| SNAP_TEXTURE_HEADER + t.data.len() as u64)
-            .sum();
-        let buffers: u64 = self
-            .buffers
-            .values()
-            .map(|b| SNAP_BUFFER_HEADER + b.data.len() as u64)
-            .sum();
-        let shaders: u64 = self
-            .shaders
-            .values()
-            .map(|s| SNAP_SHADER_HEADER + s.source.len() as u64)
-            .sum();
-        let programs: u64 = self
-            .programs
-            .values()
-            .map(|p| {
-                SNAP_PROGRAM_HEADER
-                    + p.shaders.len() as u64 * 4
-                    + p.uniforms.len() as u64 * SNAP_UNIFORM_BYTES
-            })
-            .sum();
-        textures
-            + buffers
-            + shaders
-            + programs
-            + self.framebuffers.len() as u64 * 8
-            + self.attribs.len() as u64 * SNAP_ATTRIB_BYTES
-            + SNAP_SCALAR_BLOCK
+        self.wire_cost(None)
     }
 
     /// Wire cost of shipping this snapshot to a destination that
@@ -974,36 +860,44 @@ impl StateSnapshot {
     /// base, and a snapshot's delta against itself is exactly the
     /// scalar block.
     pub fn delta_wire_bytes(&self, base: &StateSnapshot) -> u64 {
+        self.wire_cost(Some(&base.ctx))
+    }
+
+    /// The wire-cost model: every object `base` does not hold
+    /// byte-identically (all of them with no base) pays its header and
+    /// payload, plus the scalar block.
+    fn wire_cost(&self, base: Option<&GlContext>) -> u64 {
         fn changed<'a, V: PartialEq>(
             ours: &'a BTreeMap<u32, V>,
-            base: &'a BTreeMap<u32, V>,
+            base: Option<&'a BTreeMap<u32, V>>,
         ) -> impl Iterator<Item = &'a V> {
             ours.iter()
-                .filter(move |(id, obj)| base.get(id) != Some(obj))
+                .filter(move |(id, obj)| base.is_none_or(|b| b.get(id) != Some(obj)))
                 .map(|(_, obj)| obj)
         }
-        let textures: u64 = changed(&self.textures, &base.textures)
+        let ours = &self.ctx;
+        let textures: u64 = changed(&ours.textures, base.map(|b| &b.textures))
             .map(|t| SNAP_TEXTURE_HEADER + t.data.len() as u64)
             .sum();
-        let buffers: u64 = changed(&self.buffers, &base.buffers)
+        let buffers: u64 = changed(&ours.buffers, base.map(|b| &b.buffers))
             .map(|b| SNAP_BUFFER_HEADER + b.data.len() as u64)
             .sum();
-        let shaders: u64 = changed(&self.shaders, &base.shaders)
+        let shaders: u64 = changed(&ours.shaders, base.map(|b| &b.shaders))
             .map(|s| SNAP_SHADER_HEADER + s.source.len() as u64)
             .sum();
-        let programs: u64 = changed(&self.programs, &base.programs)
+        let programs: u64 = changed(&ours.programs, base.map(|b| &b.programs))
             .map(|p| {
                 SNAP_PROGRAM_HEADER
                     + p.shaders.len() as u64 * 4
                     + p.uniforms.len() as u64 * SNAP_UNIFORM_BYTES
             })
             .sum();
-        let framebuffers = self.framebuffers.difference(&base.framebuffers).count() as u64 * 8;
-        let attribs = self
-            .attribs
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| base.attribs.get(*i) != Some(*a))
+        let framebuffers = (ours.framebuffers.iter())
+            .filter(|id| base.is_none_or(|b| !b.framebuffers.contains(id)))
+            .count() as u64
+            * 8;
+        let attribs = (ours.attribs.iter().enumerate())
+            .filter(|(i, a)| base.is_none_or(|b| b.attribs.get(*i) != Some(*a)))
             .count() as u64
             * SNAP_ATTRIB_BYTES;
         textures + buffers + shaders + programs + framebuffers + attribs + SNAP_SCALAR_BLOCK

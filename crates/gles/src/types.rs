@@ -187,7 +187,9 @@ impl AttribType {
 }
 
 /// Server-side capabilities toggled with `glEnable`/`glDisable`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Ordered by declaration, which is the order a context's enabled set
+/// iterates and digests in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Capability {
     /// `GL_BLEND`.
     Blend,

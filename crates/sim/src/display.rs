@@ -105,6 +105,11 @@ impl FpsRecorder {
         self.present_times.len()
     }
 
+    /// Every recorded presentation time, in recording order.
+    pub fn present_times(&self) -> &[SimTime] {
+        &self.present_times
+    }
+
     /// Frame rate sampled over each whole second of the session.
     ///
     /// Seconds with zero frames yield a 0 sample (loading screens in the

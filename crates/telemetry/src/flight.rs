@@ -1,14 +1,13 @@
 //! The fault-triggered flight recorder.
 //!
-//! Like an aircraft's, the recorder runs continuously and cheaply — a
-//! bounded ring of the last N fully-stitched frame traces — and only
-//! *emits* anything when a fault fires. The dump is a structured
-//! postmortem: the fault, when it fired, the retained frame traces, and
-//! a full registry snapshot. A one-shot latch guarantees **exactly
+//! Like an aircraft's, the recorder costs nothing until a fault fires:
+//! it keeps no frames of its own. The dump is cut from the session's
+//! [`TraceLog`](crate::trace::TraceLog) — the caller passes the log's
+//! last N stitched frame traces to [`FlightRecorder::trigger`] — and is a
+//! structured postmortem: the fault, when it fired, those frame traces,
+//! and a full registry snapshot. A one-shot latch guarantees **exactly
 //! one** dump per recorder no matter how many faults follow the first,
 //! so a storm of secondary faults cannot bury the primary evidence.
-
-use std::collections::VecDeque;
 
 use gbooster_sim::time::SimTime;
 
@@ -95,9 +94,7 @@ impl FlightDump {
             self.frames.len()
         ));
         for f in &self.frames {
-            out.push_str(&format!("{{\"seq\":{},\"span\":", f.seq));
-            f.root.write_json(&mut out);
-            out.push_str("}\n");
+            f.write_jsonl(&mut out);
         }
         out.push_str("{\"snapshot\":");
         out.push_str(&self.snapshot.to_json());
@@ -106,28 +103,18 @@ impl FlightDump {
     }
 }
 
-/// The always-on ring + one-shot trigger.
-#[derive(Clone, Debug)]
+/// The one-shot trigger.
+#[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
-    ring: VecDeque<FrameTrace>,
-    depth: usize,
-    fired: bool,
     faults_seen: u64,
     dumps: Vec<FlightDump>,
     ops: Option<OpsLog>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder retaining the last `depth` frames (minimum 1).
-    pub fn new(depth: usize) -> Self {
-        FlightRecorder {
-            ring: VecDeque::with_capacity(depth.max(1)),
-            depth: depth.max(1),
-            fired: false,
-            faults_seen: 0,
-            dumps: Vec::new(),
-            ops: None,
-        }
+    /// Creates an unfired recorder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Journals the one-shot dump emission into `ops`, so incident
@@ -136,28 +123,22 @@ impl FlightRecorder {
         self.ops = Some(ops);
     }
 
-    /// Ring depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Records a stitched frame trace, evicting the oldest past `depth`.
-    pub fn on_frame(&mut self, trace: &FrameTrace) {
-        if self.ring.len() == self.depth {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(trace.clone());
-    }
-
-    /// Reports a fault. The first call emits a dump and returns `true`;
-    /// every later call only bumps [`FlightRecorder::faults_seen`] —
-    /// the latch keeps the dump describing the *primary* fault.
-    pub fn trigger(&mut self, fault: Fault, at: SimTime, snapshot: TelemetrySnapshot) -> bool {
+    /// Reports a fault. The first call emits a dump of `frames` (the
+    /// stitched traces leading up to the fault, oldest first) and
+    /// returns `true`; every later call only bumps
+    /// [`FlightRecorder::faults_seen`] — the latch keeps the dump
+    /// describing the *primary* fault.
+    pub fn trigger(
+        &mut self,
+        fault: Fault,
+        at: SimTime,
+        frames: &[FrameTrace],
+        snapshot: TelemetrySnapshot,
+    ) -> bool {
         self.faults_seen += 1;
-        if self.fired {
+        if self.has_fired() {
             return false;
         }
-        self.fired = true;
         if let Some(ops) = &self.ops {
             ops.push(
                 at,
@@ -169,7 +150,7 @@ impl FlightRecorder {
         self.dumps.push(FlightDump {
             fault,
             at,
-            frames: self.ring.iter().cloned().collect(),
+            frames: frames.to_vec(),
             snapshot,
         });
         true
@@ -177,7 +158,7 @@ impl FlightRecorder {
 
     /// True once a dump has been emitted.
     pub fn has_fired(&self) -> bool {
-        self.fired
+        !self.dumps.is_empty()
     }
 
     /// Faults reported, including latched-out ones.
@@ -195,7 +176,7 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::names;
-    use crate::trace::SpanNode;
+    use crate::trace::{SpanNode, TraceLog};
 
     fn frame(seq: u64) -> FrameTrace {
         FrameTrace {
@@ -208,15 +189,22 @@ mod tests {
         }
     }
 
+    fn log_of(frames: u64) -> TraceLog {
+        let mut log = TraceLog::new();
+        for seq in 0..frames {
+            log.push(frame(seq));
+        }
+        log
+    }
+
     #[test]
     fn ring_keeps_only_the_last_n() {
-        let mut rec = FlightRecorder::new(3);
-        for seq in 0..10 {
-            rec.on_frame(&frame(seq));
-        }
+        let log = log_of(10);
+        let mut rec = FlightRecorder::new();
         assert!(rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(99),
+            log.tail(3),
             TelemetrySnapshot::default()
         ));
         let dump = &rec.dumps()[0];
@@ -226,21 +214,25 @@ mod tests {
 
     #[test]
     fn latch_emits_exactly_one_dump() {
-        let mut rec = FlightRecorder::new(2);
-        rec.on_frame(&frame(0));
+        let log = log_of(1);
+        let mut rec = FlightRecorder::new();
+        assert!(!rec.has_fired());
         assert!(rec.trigger(
             Fault::DispatchTimeout,
             SimTime::from_micros(5),
+            log.tail(2),
             TelemetrySnapshot::default()
         ));
         assert!(!rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(6),
+            log.tail(2),
             TelemetrySnapshot::default()
         ));
         assert!(!rec.trigger(
             Fault::InterfaceFlap,
             SimTime::from_micros(7),
+            log.tail(2),
             TelemetrySnapshot::default()
         ));
         assert_eq!(rec.dumps().len(), 1);
@@ -251,13 +243,12 @@ mod tests {
 
     #[test]
     fn dump_jsonl_has_header_frames_and_trailer() {
-        let mut rec = FlightRecorder::new(4);
-        for seq in 0..2 {
-            rec.on_frame(&frame(seq));
-        }
+        let log = log_of(2);
+        let mut rec = FlightRecorder::new();
         rec.trigger(
             Fault::InterfaceFlap,
             SimTime::from_micros(2_500),
+            log.tail(4),
             TelemetrySnapshot::default(),
         );
         let jsonl = rec.dumps()[0].to_jsonl();
@@ -269,21 +260,25 @@ mod tests {
         );
         assert!(lines[1].starts_with("{\"seq\":0,\"span\":{\"name\":\"frame\""));
         assert!(lines[3].starts_with("{\"snapshot\":{\"counters\""));
+        // Each frame line is the trace log's own line for that frame.
+        assert_eq!(lines[1..3].join("\n") + "\n", log.to_jsonl());
     }
 
     #[test]
     fn trigger_journals_the_dump_once_into_an_attached_ops_log() {
         let ops = OpsLog::new();
-        let mut rec = FlightRecorder::new(2);
+        let mut rec = FlightRecorder::new();
         rec.attach_ops(ops.clone());
         rec.trigger(
             Fault::NodeLoss,
             SimTime::from_micros(1_000),
+            &[],
             TelemetrySnapshot::default(),
         );
         rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(2_000),
+            &[],
             TelemetrySnapshot::default(),
         );
         // One dump, one journal entry — the latch gates both.
@@ -297,17 +292,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_depth_is_promoted_to_one() {
-        let mut rec = FlightRecorder::new(0);
-        assert_eq!(rec.depth(), 1);
-        rec.on_frame(&frame(0));
-        rec.on_frame(&frame(1));
+    fn a_fault_past_the_log_cap_dumps_the_last_kept_frames() {
+        // The log keeps its head: once its cap fills, later frames are
+        // counted as dropped, so a fault that first fires after the cap
+        // dumps the frames the log kept last, not those before the fault.
+        let mut log = TraceLog::with_capacity_limit(5);
+        for seq in 0..12 {
+            log.push(frame(seq));
+        }
+        assert_eq!(log.dropped(), 7);
+        let mut rec = FlightRecorder::new();
         rec.trigger(
             Fault::LossStorm,
-            SimTime::ZERO,
+            SimTime::from_micros(11_900),
+            log.tail(3),
             TelemetrySnapshot::default(),
         );
-        assert_eq!(rec.dumps()[0].frames.len(), 1);
-        assert_eq!(rec.dumps()[0].frames[0].seq, 1);
+        let seqs: Vec<u64> = rec.dumps()[0].frames.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [2, 3, 4]);
     }
 }

@@ -30,8 +30,9 @@
 //!   them under the frame root as a monotone `remote` subtree.
 //! * [`export`] — Chrome trace-event JSON ([`chrome_trace`]) and
 //!   Prometheus text exposition ([`prometheus_text`]).
-//! * [`flight`] — a bounded ring of stitched traces that dumps a
-//!   structured postmortem when a fault fires ([`FlightRecorder`]).
+//! * [`flight`] — a one-shot latch that dumps a structured postmortem,
+//!   the trace log's last stitched frames plus a registry snapshot,
+//!   when a fault fires ([`FlightRecorder`]).
 //! * [`attr`] — resource attribution ([`AttributionLog`]): uplink
 //!   bytes by GL category × cache outcome, downlink bytes by frame
 //!   kind, sim time and joules by stage × node × interface.

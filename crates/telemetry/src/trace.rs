@@ -85,11 +85,27 @@ pub struct FrameTrace {
     pub root: SpanNode,
 }
 
+impl FrameTrace {
+    /// Appends this frame's JSON Lines record,
+    /// `{"seq":N,"span":{...}}` and a newline: the one frame schema the
+    /// trace log and the flight dump share.
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        crate::json::push_u64(out, self.seq);
+        out.push_str(",\"span\":");
+        self.root.write_json(out);
+        out.push_str("}\n");
+    }
+}
+
 /// The per-session accumulation of frame traces.
 ///
 /// Memory is bounded by `max_frames`; once full, further frames are
 /// counted in [`TraceLog::dropped`] but not stored, so a pathological
-/// run cannot exhaust memory while counters stay truthful.
+/// run cannot exhaust memory while counters stay truthful. The log keeps
+/// its head, not its tail: past the cap, [`TraceLog::tail`] (which the
+/// flight recorder's dump is cut from) ends at the last frame the log
+/// kept, not at the newest frame presented.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     frames: Vec<FrameTrace>,
@@ -129,6 +145,12 @@ impl TraceLog {
         &self.frames
     }
 
+    /// The last `n` retained traces, oldest first (all of them when
+    /// fewer are retained).
+    pub fn tail(&self, n: usize) -> &[FrameTrace] {
+        &self.frames[self.frames.len().saturating_sub(n)..]
+    }
+
     /// Traces discarded after the retention cap filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -150,11 +172,7 @@ impl TraceLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for f in &self.frames {
-            out.push_str("{\"seq\":");
-            out.push_str(&f.seq.to_string());
-            out.push_str(",\"span\":");
-            f.root.write_json(&mut out);
-            out.push_str("}\n");
+            f.write_jsonl(&mut out);
         }
         out
     }

@@ -1,11 +1,12 @@
-//! FlightRecorder ring-wraparound coverage: fill a capacity-N ring far
-//! past N, storm it with N+k faults, and assert the eviction order, the
-//! one-shot latch, and the JSONL dump shape all hold together.
+//! Flight-dump window coverage: the dump is the trace log's last N
+//! frames, so fill the log far past N, storm the recorder with N+k
+//! faults, and assert the window's order, the one-shot latch, and the
+//! JSONL dump shape all hold together.
 
 use gbooster_sim::time::SimTime;
 use gbooster_telemetry::json::{self, JsonValue};
 use gbooster_telemetry::trace::{FrameTrace, SpanNode};
-use gbooster_telemetry::{names, Fault, FlightRecorder, Registry};
+use gbooster_telemetry::{names, Fault, FlightRecorder, Registry, TraceLog};
 
 fn frame(seq: u64) -> FrameTrace {
     let start = SimTime::from_micros(seq * 16_000);
@@ -25,12 +26,12 @@ fn wraparound_evicts_oldest_latches_once_and_dumps_well_formed_jsonl() {
     const FRAMES: u64 = 50;
     const K: u64 = 5;
 
-    let mut rec = FlightRecorder::new(N);
-    assert_eq!(rec.depth(), N);
+    let mut rec = FlightRecorder::new();
 
-    // Wrap the ring several times over.
+    // Slide the dump window several times over.
+    let mut log = TraceLog::new();
     for seq in 0..FRAMES {
-        rec.on_frame(&frame(seq));
+        log.push(frame(seq));
     }
 
     // A registry snapshot with something in it, so the trailer is
@@ -45,6 +46,7 @@ fn wraparound_evicts_oldest_latches_once_and_dumps_well_formed_jsonl() {
         let fired = rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(900_000 + i),
+            log.tail(N),
             reg.snapshot(),
         );
         if fired {
@@ -61,7 +63,7 @@ fn wraparound_evicts_oldest_latches_once_and_dumps_well_formed_jsonl() {
     let dump = &rec.dumps()[0];
     let seqs: Vec<u64> = dump.frames.iter().map(|f| f.seq).collect();
     let expect: Vec<u64> = (FRAMES - N as u64..FRAMES).collect();
-    assert_eq!(seqs, expect, "ring must hold the last {N} frames in order");
+    assert_eq!(seqs, expect, "dump must hold the last {N} frames in order");
 
     // The dump is well-formed JSONL: header + N frames + snapshot
     // trailer, every line independently parseable.
@@ -115,16 +117,18 @@ fn wraparound_evicts_oldest_latches_once_and_dumps_well_formed_jsonl() {
 
 #[test]
 fn wraparound_at_exact_capacity_boundary() {
-    // Feed exactly N, then one more: the very first frame is the one
-    // evicted — no off-by-one at the boundary.
+    // Log exactly N, then one more: the very first frame is the one
+    // left out of the window — no off-by-one at the boundary.
     const N: usize = 4;
-    let mut rec = FlightRecorder::new(N);
+    let mut log = TraceLog::new();
     for seq in 0..=N as u64 {
-        rec.on_frame(&frame(seq));
+        log.push(frame(seq));
     }
+    let mut rec = FlightRecorder::new();
     rec.trigger(
         Fault::NodeLoss,
         SimTime::from_micros(123),
+        log.tail(N),
         Registry::new().snapshot(),
     );
     let seqs: Vec<u64> = rec.dumps()[0].frames.iter().map(|f| f.seq).collect();

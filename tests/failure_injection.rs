@@ -302,6 +302,44 @@ fn node_loss_redispatches_in_flight_frames_without_a_gap() {
     assert!(report.telemetry.counter(names::flight::FAULTS) >= 1);
 }
 
+/// A G1 session on a Nexus 5 whose loss storm lands at frame 40, with
+/// the flight dump sized `depth` frames.
+fn storm_at_40_with_flight_depth(depth: usize) -> SessionConfig {
+    SessionConfig::builder(GameTitle::g1_gta_san_andreas(), DeviceSpec::nexus5())
+        .duration_secs(3)
+        .seed(20170605)
+        .mode(ExecutionMode::Offloaded(OffloadConfig {
+            flight_recorder_depth: depth,
+            faults: FaultInjection {
+                loss_storm_at_frame: Some(40),
+                ..FaultInjection::default()
+            },
+            ..OffloadConfig::default()
+        }))
+        .build()
+}
+
+/// The dump is cut from the trace log, so a depth no memory could hold
+/// allocates nothing up front: the session completes and the dump holds
+/// every frame presented up to the fault.
+#[test]
+fn an_unbounded_flight_depth_dumps_every_frame_up_to_the_fault() {
+    let report = Session::run(&storm_at_40_with_flight_depth(usize::MAX));
+    let dump = report.flight.expect("storm must trigger the recorder");
+    assert_eq!(dump.fault, Fault::LossStorm);
+    let seqs: Vec<u64> = dump.frames.iter().map(|f| f.seq).collect();
+    assert_eq!(seqs, (0..=40).collect::<Vec<u64>>());
+}
+
+/// A zero depth is promoted to one: the dump holds the faulted frame.
+#[test]
+fn zero_flight_depth_is_promoted_to_one() {
+    let report = Session::run(&storm_at_40_with_flight_depth(0));
+    let dump = report.flight.expect("storm must trigger the recorder");
+    assert_eq!(dump.frames.len(), 1);
+    assert_eq!(dump.frames[0].seq, 40);
+}
+
 /// A fault-free session never fires the recorder.
 #[test]
 fn fault_free_sessions_emit_no_dump() {
