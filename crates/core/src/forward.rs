@@ -442,6 +442,7 @@ impl ServiceReceiver {
 mod tests {
     use super::*;
     use gbooster_gles::command::VertexSource;
+    use gbooster_gles::serialize::WireError;
     use gbooster_gles::types::{AttribType, Primitive, ProgramId};
     use gbooster_workload::genre::GenreProfile;
     use gbooster_workload::tracegen::TraceGenerator;
@@ -598,6 +599,24 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, GBoosterError::Codec(_)), "{err:?}");
         assert_eq!(rx.retained_scratch_bytes(), 0);
+    }
+
+    #[test]
+    fn a_full_token_with_a_huge_bulk_length_is_an_error() {
+        // ShaderSource whose source length is a varint of u64::MAX.
+        let mut body = vec![0x08, 0, 0, 0, 0];
+        body.extend([0xff; 9]);
+        body.push(0x01);
+        let mut tokens = vec![0x01];
+        tokens.extend((body.len() as u32).to_le_bytes());
+        tokens.extend(&body);
+        let mut wire = (tokens.len() as u32).to_le_bytes().to_vec();
+        wire.extend(lz4::compress(&tokens));
+        let err = ServiceReceiver::new().receive(&wire).unwrap_err();
+        assert!(
+            matches!(err, GBoosterError::Wire(WireError::Truncated)),
+            "{err:?}"
+        );
     }
 
     #[test]
