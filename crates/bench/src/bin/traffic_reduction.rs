@@ -24,13 +24,21 @@ fn main() {
     header("Section V-A: unoptimized traffic volume");
     // The paper's low-quality setting: 600x480 at 25 FPS.
     let (w, h, fps) = (600u32, 480u32, 25u64);
+    // Serialized command bytes before caching and compression, as the
+    // forwarder counts them; the setup stream is not counted.
     let mut gen = TraceGenerator::new(GenreProfile::action(), 1.0, w, h, 3);
-    gen.setup_trace();
+    let mut fw = CommandForwarder::new();
+    let setup = gen.setup_trace();
+    fw.forward_frame(&setup.commands, gen.client_memory())
+        .unwrap();
     let mut raw_cmd_bytes = 0usize;
     let frames = fps * 4;
     for _ in 0..frames {
         let frame = gen.next_frame(1.0 / fps as f64);
-        raw_cmd_bytes += frame.payload_bytes();
+        raw_cmd_bytes += fw
+            .forward_frame(&frame.commands, gen.client_memory())
+            .unwrap()
+            .raw_bytes;
     }
     // Raw frames going back: RGBA at full rate.
     let raw_image_bytes = (w as u64 * h as u64 * 4 * frames) as usize;

@@ -52,13 +52,6 @@ pub struct FrameTrace {
     pub scene_change: bool,
 }
 
-impl FrameTrace {
-    /// Sum of the commands' estimated serialized payload sizes.
-    pub fn payload_bytes(&self) -> usize {
-        self.commands.iter().map(|c| c.payload_bytes()).sum()
-    }
-}
-
 /// Generates a deterministic stream of [`FrameTrace`]s for one
 /// application session.
 ///
