@@ -41,8 +41,8 @@ use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::export::prometheus_text_with_labels_dedup;
 use gbooster_telemetry::flight::{Fault, FlightDump, FlightRecorder};
 use gbooster_telemetry::query::QueryError;
-use gbooster_telemetry::sample::{self, FrameVerdict, TailSampler};
-use gbooster_telemetry::trace::{FrameTrace, SpanNode};
+use gbooster_telemetry::sample::{self, FrameVerdict, KeepReason, KeptTrace, TailSampler};
+use gbooster_telemetry::trace::{FrameTrace, SpanLen, SpanNode, SpanTree};
 use gbooster_telemetry::tsdb::Tsdb;
 use gbooster_telemetry::{
     names, ClockOffsetEstimator, Counter, Histogram, Registry, TelemetrySnapshot,
@@ -953,7 +953,9 @@ impl PendingFrame {
 /// when [`FabricConfig::observe`] is set; un-observed runs never touch
 /// it and stay byte-identical to builds without it.
 struct FabricObserver {
-    sampler: TailSampler,
+    /// Holds each kept frame's waypoints; `finish` renders the lines of
+    /// the traces still retained.
+    sampler: TailSampler<KeptFrame>,
     /// Per tenant, the waypoints of every frame from `front[t]` on, in
     /// seq order: each issued frame gets an entry (a phone-rendered one
     /// a `local` entry) and each tenant presents in seq order, so a
@@ -973,7 +975,7 @@ struct FabricObserver {
 }
 
 impl FabricObserver {
-    fn new(seed: u64, nodes: usize, tenants: usize) -> Self {
+    fn new(seed: u64, nodes: usize, tenants: usize, tsdb: Tsdb) -> Self {
         FabricObserver {
             sampler: TailSampler::new(
                 sample::DEFAULT_HEAD_INTERVAL,
@@ -981,7 +983,7 @@ impl FabricObserver {
             ),
             pending: vec![VecDeque::new(); tenants],
             front: vec![0; tenants],
-            tsdb: Tsdb::new(TSDB_SLOTS),
+            tsdb,
             clocks: (0..nodes).map(|_| ClockOffsetEstimator::new()).collect(),
             skew_us: (0..nodes)
                 .map(|j| {
@@ -1020,16 +1022,20 @@ impl FabricObserver {
         verdict: FrameVerdict,
     ) -> Option<u64> {
         let tid = sample::trace_id(session_of(t), seq);
-        // Waypoint cleanup is unconditional, but the span tree is built
-        // inside the closure — only if the verdict keeps the frame.
+        // Waypoint cleanup is unconditional; a kept frame holds its
+        // waypoints and the measured length of its line, not the line.
         debug_assert_eq!(seq, self.front[t], "tenant {t} presents out of seq order");
         let waypoints = self.pending[t].pop_front();
         self.front[t] += 1;
         let latency_us = (shown - issued).as_micros();
         self.sampler
-            .offer_with(t as u32, seq, tid, latency_us, verdict, |out, reason| {
-                let frame = build_frame(waypoints, seq, issued, shown);
-                sample::serialize_into(out, t as u32, tid, reason, &frame);
+            .offer(t as u32, seq, tid, latency_us, verdict, |reason| {
+                let frame = KeptFrame {
+                    waypoints,
+                    issued,
+                    shown,
+                };
+                (frame.line_len(t as u32, tid, seq, reason), frame)
             })
             .map(|_| tid)
     }
@@ -1077,41 +1083,63 @@ impl FabricObserver {
     }
 }
 
-/// Builds the span tree for a retiring frame from its recorded
-/// waypoints: uplink → dispatch_wait → remote{replay, encode} →
-/// downlink → display_wait, or a single local_render stage for
-/// phone-rendered frames and frames with no waypoints. A free
-/// function taking the waypoints by value so the tail sampler can run
-/// it lazily — only frames the verdict keeps pay for tree
-/// construction and serialization.
-fn build_frame(
+/// What the tail sampler holds for a kept frame until the run ends:
+/// the waypoints its span tree is built from.
+#[derive(Clone, Copy, Debug)]
+struct KeptFrame {
     waypoints: Option<PendingFrame>,
-    seq: u64,
     issued: SimTime,
     shown: SimTime,
-) -> FrameTrace {
-    let mut root = SpanNode::new(names::stage::FRAME, issued, shown);
-    match waypoints {
-        Some(p) if !p.local => {
-            root.stage(names::stage::UPLINK, issued, p.arrived);
-            if let (Some(start), Some(finish)) = (p.start, p.finish) {
-                root.stage(names::stage::DISPATCH_WAIT, p.arrived, start);
-                let mut remote = SpanNode::new(names::remote::SUBTREE, start, finish);
-                let enc_start = finish - p.encode;
-                remote.stage(names::remote::REPLAY, start, enc_start);
-                remote.stage(names::remote::ENCODE, enc_start, finish);
-                root.push(remote);
-                if let Some(down_end) = p.down_end {
-                    root.stage(names::stage::DOWNLINK, finish, down_end);
-                    root.stage(names::stage::DISPLAY_WAIT, down_end, shown);
+}
+
+impl KeptFrame {
+    /// The frame's span tree: uplink → dispatch_wait →
+    /// remote{replay, encode} → downlink → display_wait, or a single
+    /// local_render stage for phone-rendered frames and frames with no
+    /// waypoints. The one statement of the shape: the verdict measures
+    /// a kept frame's line with it ([`SpanLen`]), and `finish` builds
+    /// the retained frames' trees with it ([`SpanNode`]).
+    fn tree<S: SpanTree>(&self) -> S {
+        let (issued, shown) = (self.issued, self.shown);
+        let mut root = S::new(names::stage::FRAME, issued, shown);
+        match self.waypoints {
+            Some(p) if !p.local => {
+                root.stage(names::stage::UPLINK, issued, p.arrived);
+                if let (Some(start), Some(finish)) = (p.start, p.finish) {
+                    root.stage(names::stage::DISPATCH_WAIT, p.arrived, start);
+                    let mut remote = S::new(names::remote::SUBTREE, start, finish);
+                    let enc_start = finish - p.encode;
+                    remote.stage(names::remote::REPLAY, start, enc_start);
+                    remote.stage(names::remote::ENCODE, enc_start, finish);
+                    root.push(remote);
+                    if let Some(down_end) = p.down_end {
+                        root.stage(names::stage::DOWNLINK, finish, down_end);
+                        root.stage(names::stage::DISPLAY_WAIT, down_end, shown);
+                    }
                 }
             }
+            _ => {
+                root.stage(names::stage::LOCAL_RENDER, issued, shown);
+            }
         }
-        _ => {
-            root.stage(names::stage::LOCAL_RENDER, issued, shown);
-        }
+        root
     }
-    FrameTrace { seq, root }
+
+    /// The exact length of the line [`write_line`] renders for this
+    /// frame when it is kept for `reason`.
+    fn line_len(&self, tenant: u32, trace_id: u64, seq: u64, reason: KeepReason) -> u64 {
+        let span = self.tree::<SpanLen>().bytes();
+        sample::line_len(tenant, trace_id, seq, reason, span)
+    }
+}
+
+/// Renders a retained frame's JSONL line.
+fn write_line(e: &KeptTrace<KeptFrame>, out: &mut String) {
+    let frame = FrameTrace {
+        seq: e.seq,
+        root: e.line.tree::<SpanNode>(),
+    };
+    sample::serialize_into(out, e.tenant, e.trace_id, e.reason, &frame);
 }
 
 /// Event kinds, in tie-break priority order at equal instants. The
@@ -1162,16 +1190,45 @@ impl SessionManager {
     ///
     /// Returns [`GBoosterError::Config`] for a broken config.
     pub fn run(cfg: &FabricConfig) -> Result<FabricReport, GBoosterError> {
-        cfg.validate()?;
-        let pool = Registry::new();
-        let (models, model_of) = calibrate_titles(cfg);
-        let admission = admit(cfg, &models, &model_of, &pool)?;
-        let mut fabric = Fabric::new(cfg, models, model_of, admission, pool);
-        while let Some(Reverse((t_us, kind, a, b))) = fabric.heap.pop() {
-            fabric.handle(t_us, kind, a, b);
-        }
-        Ok(fabric.finish())
+        run_with(cfg, observer_tsdb(cfg.duration))
     }
+}
+
+/// Runs `cfg` with `tsdb` as the observer's store (unused when the
+/// run is not observed).
+fn run_with(cfg: &FabricConfig, tsdb: Tsdb) -> Result<FabricReport, GBoosterError> {
+    cfg.validate()?;
+    let pool = Registry::new();
+    let (models, model_of) = calibrate_titles(cfg);
+    let admission = admit(cfg, &models, &model_of, &pool)?;
+    let mut fabric = Fabric::new(cfg, models, model_of, admission, pool, tsdb);
+    while let Some(Reverse((t_us, kind, a, b))) = fabric.heap.pop() {
+        fabric.handle(t_us, kind, a, b);
+    }
+    Ok(fabric.finish())
+}
+
+/// The observer's TSDB for a run of `duration`, which only counts the
+/// points of the periodic scrapes no ring keeps to the end.
+///
+/// The scrape instants are fixed before the run starts: one every
+/// `SCRAPE_INTERVAL` up to and including `duration`, then the closing
+/// scrape in `finish` at the realized horizon, which is never earlier
+/// than the last periodic one and overwrites its points when the two
+/// instants are equal. Every series gets a point at every scrape after
+/// its first (registries never unregister, the admitted set is fixed,
+/// and each label set names one registry), and nothing reads the store
+/// before `finish`. So every point of a periodic scrape followed by
+/// `TSDB_SLOTS` or more periodic scrapes is evicted before anything
+/// reads it.
+fn observer_tsdb(duration: SimDuration) -> Tsdb {
+    let interval = SCRAPE_INTERVAL.as_micros();
+    let counted = (duration.as_micros() / interval).saturating_sub(TSDB_SLOTS as u64);
+    let from = match counted {
+        0 => SimTime::ZERO,
+        _ => SimTime::from_micros((counted + 1) * interval),
+    };
+    Tsdb::storing_from(TSDB_SLOTS, from)
 }
 
 /// Calibrates one model per distinct title, in offer order. Returns the
@@ -1319,6 +1376,7 @@ impl<'a> Fabric<'a> {
         model_of: Vec<usize>,
         admission: Admission,
         pool: Registry,
+        tsdb: Tsdb,
     ) -> Self {
         let (nodes, n) = (cfg.pool.len(), cfg.tenants.len());
         for name in POOL_COUNTERS {
@@ -1361,7 +1419,9 @@ impl<'a> Fabric<'a> {
             pending_off: vec![0; nodes],
             flight: FlightRecorder::new(),
             rebal: cfg.rebalance.map(|p| Rebalancer::new(nodes, p)),
-            obs: cfg.observe.map(|_| FabricObserver::new(cfg.seed, nodes, n)),
+            obs: cfg
+                .observe
+                .map(|_| FabricObserver::new(cfg.seed, nodes, n, tsdb)),
             end_us: cfg.duration.as_micros(),
             cfg,
             models,
@@ -1996,7 +2056,10 @@ impl<'a> Fabric<'a> {
     }
 
     /// Snapshots the pool and every admitted tenant registry into the
-    /// TSDB (scrape events exist only in observed runs).
+    /// TSDB (scrape events exist only in observed runs). Until the last
+    /// `TSDB_SLOTS` periodic scrapes, the TSDB only counts the points,
+    /// exact because nothing reads the store during the run and every
+    /// series gets a point at every later scrape (see [`observer_tsdb`]).
     fn on_scrape(&mut self, t_us: u64) {
         let now = SimTime::from_micros(t_us);
         let o = self.obs.as_mut().expect("scrape events need an observer");
@@ -2100,7 +2163,7 @@ impl<'a> Fabric<'a> {
                 // queries at the run's end answer with the report state.
                 let end = SimTime::from_micros(self.end_us);
                 o.scrape(end, &self.pool, &self.tenants, &self.admission.admitted);
-                (Some(o.sampler), Some(o.tsdb))
+                (Some(o.sampler.render(write_line)), Some(o.tsdb))
             }
             None => (None, None),
         };
@@ -2324,6 +2387,108 @@ mod tests {
         assert!(text.contains("gbooster_fabric_sessions_admitted"));
         assert!(text.contains("tenant=\"t000\""));
         assert!(text.contains("tenant=\"t002\""));
+    }
+
+    #[test]
+    fn count_only_scrapes_leave_the_tsdb_a_full_store_keeps() {
+        // The golden's long observed run: 240 periodic scrapes into
+        // 64-slot rings, so the first 176 are only counted.
+        let pool = vec![
+            DeviceSpec::nvidia_shield(),
+            DeviceSpec::dell_optiplex_9010(),
+            DeviceSpec::dell_m4600(),
+        ];
+        let mut cfg = FabricConfig::uniform(64, pool, 20_170_605);
+        cfg.duration = SimDuration::from_secs(60);
+        cfg.loss_scale = 1.0;
+        for t in &mut cfg.tenants {
+            t.fps = 10.0;
+            t.slo_ms = 6.0;
+        }
+        cfg.drain_node(SimTime::from_secs(30), 0);
+        let node = 1;
+        cfg.events.push(PoolEvent::Kill {
+            at: SimTime::from_secs(40),
+            node,
+        });
+        cfg.events.push(PoolEvent::Revive {
+            at: SimTime::from_secs(50),
+            node,
+        });
+        cfg.observe_default();
+        let counted = SessionManager::run(&cfg).unwrap();
+        let stored = run_with(&cfg, Tsdb::new(TSDB_SLOTS)).unwrap();
+        let full = stored.tsdb.as_ref().expect("observed run has a TSDB");
+        assert!(full.evicted() > 0, "no TSDB ring wrapped");
+        assert_eq!(counted.tsdb.as_ref(), Some(full));
+        assert_eq!(counted.prometheus(), stored.prometheus());
+    }
+
+    #[test]
+    fn kept_frame_line_len_is_the_rendered_length() {
+        let t = SimTime::from_micros;
+        // Instants at digit boundaries; replay ends (finish − encode = 9)
+        // before it starts (10), so its span is clamped.
+        let full = PendingFrame {
+            arrived: t(9),
+            start: Some(t(10)),
+            finish: Some(t(99)),
+            encode: SimDuration::from_micros(90),
+            down_end: Some(t(100)),
+            local: false,
+        };
+        let shapes = [
+            Some(PendingFrame {
+                local: true,
+                ..full
+            }),
+            None,
+            Some(PendingFrame {
+                start: None,
+                finish: None,
+                down_end: None,
+                ..full
+            }),
+            Some(PendingFrame {
+                down_end: None,
+                ..full
+            }),
+            Some(full),
+        ];
+        let reasons = [
+            KeepReason::SloViolation,
+            KeepReason::Incident,
+            KeepReason::Migration,
+            KeepReason::HeadSample,
+        ];
+        let mut line = String::new();
+        for waypoints in shapes {
+            for (issued, shown) in [(t(0), t(9)), (t(0), t(10)), (t(10), t(9_999_999_999))] {
+                let frame = KeptFrame {
+                    waypoints,
+                    issued,
+                    shown,
+                };
+                for reason in reasons {
+                    for (tenant, trace_id, seq) in
+                        [(0, 0, 0), (9, 9, 9), (10, 10, 10), (u32::MAX, u64::MAX, 99)]
+                    {
+                        let e = KeptTrace {
+                            tenant,
+                            trace_id,
+                            seq,
+                            reason,
+                            latency_us: 0,
+                            bytes: frame.line_len(tenant, trace_id, seq, reason),
+                            line: frame,
+                        };
+                        line.clear();
+                        write_line(&e, &mut line);
+                        assert_eq!(e.bytes, line.len() as u64, "{line}");
+                    }
+                }
+            }
+        }
     }
 
     /// The pick the backlog must reproduce: a scan over every tenant,

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// quotes). A string with nothing to escape — every name the exporters
 /// write — is appended whole.
 pub fn escape_into(s: &str, out: &mut String) {
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    if is_plain(s) {
         out.push_str(s);
         return;
     }
@@ -29,6 +29,21 @@ pub fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+}
+
+/// Whether `s` has nothing to escape.
+fn is_plain(s: &str) -> bool {
+    !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
+}
+
+/// The length of `s` as [`escape_into`] appends it.
+pub(crate) fn escaped_len(s: &str) -> u64 {
+    if is_plain(s) {
+        return s.len() as u64;
+    }
+    let mut out = String::new();
+    escape_into(s, &mut out);
+    out.len() as u64
 }
 
 /// Escapes `s` into a fresh quoted JSON string.
@@ -54,6 +69,11 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
         }
     }
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// The number of digits [`push_u64`] appends for `v`.
+pub(crate) fn u64_len(v: u64) -> u64 {
+    v.checked_ilog10().map_or(1, |d| u64::from(d) + 1)
 }
 
 /// Formats an `f64` as JSON (finite values only; NaN/inf become `null`).
@@ -344,14 +364,17 @@ mod tests {
         out.clear();
         escape_into("q\"b\\t\tc\u{1f}é", &mut out);
         assert_eq!(out, "q\\\"b\\\\t\\tc\\u001fé");
+        assert_eq!(escaped_len("q\"b\\t\tc\u{1f}é"), out.len() as u64);
+        assert_eq!(escaped_len("plain.name_0"), 12);
     }
 
     #[test]
     fn push_u64_matches_display() {
-        for v in [0u64, 7, 10, 99, 1_000_001, u64::MAX] {
+        for v in [0u64, 7, 9, 10, 99, 1_000_001, u64::MAX] {
             let mut out = String::from("x");
             push_u64(&mut out, v);
             assert_eq!(out, format!("x{v}"));
+            assert_eq!(u64_len(v), out.len() as u64 - 1);
         }
     }
 

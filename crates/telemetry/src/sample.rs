@@ -10,19 +10,22 @@
 //! discarded.
 //!
 //! Retention is bounded per tenant by a byte budget over the
-//! serialized trace lines. A kept trace is serialized into one reused
-//! buffer and stored as an exact-size copy, so the lines a tenant
-//! holds take the heap its budget counts. When a tenant exceeds its
-//! budget the *oldest kept* trace is evicted first — except the tenant's
-//! worst-latency kept trace, which is pinned so the trace-id exemplars
-//! the latency histograms carry (see
+//! serialized trace lines, enforced on computed lengths: whoever offers
+//! a frame states the exact length of the line its kept body renders
+//! to. So a sampler can hold something cheaper than the line (the
+//! fabric holds a frame's waypoints) and render lines only for the
+//! traces still retained when the run ends ([`TailSampler::render`]),
+//! each into an allocation of exactly its length. When a tenant exceeds
+//! its budget the *oldest kept* trace is evicted first — except the
+//! tenant's worst-latency kept trace, which is pinned so the trace-id
+//! exemplars the latency histograms carry (see
 //! [`crate::hist::HistogramCore::record_tagged`]) always resolve to a
 //! retained trace. Every decision is a pure function of the offered
 //! sequence, so two identical runs retain byte-identical sets.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::json::push_u64;
+use crate::json::{push_u64, u64_len};
 use crate::trace::FrameTrace;
 
 /// Default deterministic head-sample interval: keep 1 frame in 16
@@ -83,9 +86,11 @@ pub struct FrameVerdict {
     pub migration: bool,
 }
 
-/// One retained frame trace.
+/// One retained frame trace. `L` is what the sampler holds for the
+/// line: the serialized line itself, or, in a sampler that renders its
+/// lines when the run ends, what the line is rendered from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KeptTrace {
+pub struct KeptTrace<L = String> {
     /// Owning tenant.
     pub tenant: u32,
     /// `(session_id << 32) | seq` — the exemplar tag on the latency
@@ -97,17 +102,19 @@ pub struct KeptTrace {
     pub reason: KeepReason,
     /// End-to-end latency in µs (the tail verdict's input).
     pub latency_us: u64,
-    /// Serialized size in bytes — the unit the budget is enforced in.
+    /// The line's exact length in bytes — the unit the budget is
+    /// enforced in, stated when the frame was offered.
     pub bytes: u64,
-    /// The serialized JSONL line (no trailing newline).
-    pub line: String,
+    /// The serialized JSONL line (no trailing newline), or what it is
+    /// rendered from (see [`TailSampler::render`]).
+    pub line: L,
 }
 
 /// Per-tenant retention state.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct TenantTraces {
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct TenantTraces<L> {
     /// Kept traces, oldest first.
-    entries: VecDeque<KeptTrace>,
+    entries: VecDeque<KeptTrace<L>>,
     /// Sum of `entries[*].bytes`, maintained ≤ the budget.
     bytes: u64,
     /// `(latency_us, trace_id)` of the pinned worst kept trace. The
@@ -118,21 +125,21 @@ struct TenantTraces {
 }
 
 /// The deterministic tail sampler. One per fabric run; feeds from
-/// frame retirement, answers for the retained set.
+/// frame retirement, answers for the retained set. The budget is
+/// enforced on the line lengths each offer computes, so `L`, what a
+/// kept trace holds for its line, need not be the line (see the module
+/// docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TailSampler {
+pub struct TailSampler<L = String> {
     head_interval: u64,
     tenant_budget_bytes: u64,
-    tenants: BTreeMap<u32, TenantTraces>,
-    /// Reused serialization buffer, left empty between offers; each
-    /// kept line is an exact-size copy of it.
-    scratch: String,
+    tenants: BTreeMap<u32, TenantTraces<L>>,
     kept: u64,
     dropped: u64,
     evictions: u64,
 }
 
-impl TailSampler {
+impl<L> TailSampler<L> {
     /// Creates a sampler keeping a 1-in-`head_interval` baseline sample
     /// (`0` disables head sampling) under a per-tenant byte budget.
     #[must_use]
@@ -141,7 +148,6 @@ impl TailSampler {
             head_interval,
             tenant_budget_bytes,
             tenants: BTreeMap::new(),
-            scratch: String::new(),
             kept: 0,
             dropped: 0,
             evictions: 0,
@@ -154,7 +160,11 @@ impl TailSampler {
         self.tenant_budget_bytes
     }
 
-    /// Runs the tail verdict on one retired frame. Returns the keep
+    /// Runs the tail verdict on one retired frame. Only when the
+    /// verdict keeps the frame does `keep` run: it is handed the keep
+    /// reason and returns the exact length of the frame's line and what
+    /// the sampler holds for that line, so the ~15/16 of healthy frames
+    /// the head sample discards never pay for either. Returns the keep
     /// reason when the trace was retained — the caller should then tag
     /// the frame's latency samples with `trace_id` — or `None` when it
     /// was discarded (counted in [`TailSampler::dropped`]).
@@ -165,26 +175,7 @@ impl TailSampler {
         trace_id: u64,
         latency_us: u64,
         verdict: FrameVerdict,
-        trace: &FrameTrace,
-    ) -> Option<KeepReason> {
-        self.offer_with(tenant, seq, trace_id, latency_us, verdict, |out, reason| {
-            serialize_into(out, tenant, trace_id, reason, trace);
-        })
-    }
-
-    /// Like [`TailSampler::offer`], but the trace is produced lazily:
-    /// `serialize` runs only after the verdict decides to keep the
-    /// frame. The fabric's hot retirement path uses this so the ~15/16
-    /// of healthy frames the head sample discards never pay for span
-    /// tree construction or serialization.
-    pub fn offer_with(
-        &mut self,
-        tenant: u32,
-        seq: u64,
-        trace_id: u64,
-        latency_us: u64,
-        verdict: FrameVerdict,
-        serialize: impl FnOnce(&mut String, KeepReason),
+        keep: impl FnOnce(KeepReason) -> (u64, L),
     ) -> Option<KeepReason> {
         let reason = if verdict.slo_violation {
             KeepReason::SloViolation
@@ -198,17 +189,18 @@ impl TailSampler {
             self.dropped += 1;
             return None;
         };
-        serialize(&mut self.scratch, reason);
-        let line = self.scratch.as_str().to_owned();
-        self.scratch.clear();
-        let bytes = line.len() as u64;
+        let (bytes, line) = keep(reason);
         if bytes > self.tenant_budget_bytes {
             // One line wider than the whole budget can never be
             // retained without breaking the budget invariant.
             self.dropped += 1;
             return None;
         }
-        let t = self.tenants.entry(tenant).or_default();
+        let t = self.tenants.entry(tenant).or_insert_with(|| TenantTraces {
+            entries: VecDeque::new(),
+            bytes: 0,
+            worst: None,
+        });
         if t.worst.is_none_or(|(lat, _)| latency_us >= lat) {
             t.worst = Some((latency_us, trace_id));
         }
@@ -262,7 +254,7 @@ impl TailSampler {
 
     /// Currently retained traces, ordered by tenant then retention
     /// order (oldest first).
-    pub fn retained(&self) -> impl Iterator<Item = &KeptTrace> {
+    pub fn retained(&self) -> impl Iterator<Item = &KeptTrace<L>> {
         self.tenants.values().flat_map(|t| t.entries.iter())
     }
 
@@ -284,6 +276,58 @@ impl TailSampler {
         self.tenants.get(&tenant).map_or(0, |t| t.bytes)
     }
 
+    /// Renders the line of every retained trace with `write`, which
+    /// appends the line to an empty string allocated for exactly the
+    /// trace's `bytes`. Tenants are rendered one at a time, each
+    /// tenant's held bodies freed as its lines are made. The counters,
+    /// the tallies and the pins carry over unchanged.
+    #[must_use]
+    pub fn render(self, mut write: impl FnMut(&KeptTrace<L>, &mut String)) -> TailSampler {
+        let tenants = (self.tenants.into_iter())
+            .map(|(tenant, t)| {
+                let entries = (t.entries.into_iter())
+                    .map(|e| {
+                        let mut line = String::with_capacity(
+                            usize::try_from(e.bytes).expect("a kept line fits in memory"),
+                        );
+                        write(&e, &mut line);
+                        debug_assert_eq!(
+                            line.len() as u64,
+                            e.bytes,
+                            "trace {} rendered to a line of another length",
+                            e.trace_id
+                        );
+                        KeptTrace {
+                            tenant: e.tenant,
+                            trace_id: e.trace_id,
+                            seq: e.seq,
+                            reason: e.reason,
+                            latency_us: e.latency_us,
+                            bytes: e.bytes,
+                            line,
+                        }
+                    })
+                    .collect();
+                let rendered = TenantTraces {
+                    entries,
+                    bytes: t.bytes,
+                    worst: t.worst,
+                };
+                (tenant, rendered)
+            })
+            .collect();
+        TailSampler {
+            head_interval: self.head_interval,
+            tenant_budget_bytes: self.tenant_budget_bytes,
+            tenants,
+            kept: self.kept,
+            dropped: self.dropped,
+            evictions: self.evictions,
+        }
+    }
+}
+
+impl TailSampler {
     /// The retained set as JSON Lines, in [`TailSampler::retained`]
     /// order — the byte string the double-run identity tests compare.
     #[must_use]
@@ -297,13 +341,26 @@ impl TailSampler {
     }
 }
 
-/// One retained trace as a deterministic JSONL line (test reference
-/// for the streaming [`serialize_into`] the hot path uses).
-#[cfg(test)]
-fn serialize_line(tenant: u32, trace_id: u64, reason: KeepReason, trace: &FrameTrace) -> String {
-    let mut out = String::with_capacity(128);
-    serialize_into(&mut out, tenant, trace_id, reason, trace);
-    out
+/// The fixed parts of a retained trace's line, written by
+/// [`serialize_into`] and counted by [`line_len`].
+const TENANT: &str = "{\"tenant\":";
+const TRACE_ID: &str = ",\"trace_id\":";
+const SEQ: &str = ",\"seq\":";
+const REASON: &str = ",\"reason\":\"";
+const SPAN: &str = "\",\"span\":";
+
+/// The exact length of the line [`serialize_into`] writes for a trace
+/// whose span tree's JSON is `span_bytes` long (see
+/// [`crate::trace::SpanLen`]).
+#[must_use]
+pub fn line_len(tenant: u32, trace_id: u64, seq: u64, reason: KeepReason, span_bytes: u64) -> u64 {
+    let fixed = TENANT.len() + TRACE_ID.len() + SEQ.len() + REASON.len() + SPAN.len() + "}".len();
+    fixed as u64
+        + u64_len(u64::from(tenant))
+        + u64_len(trace_id)
+        + u64_len(seq)
+        + reason.as_str().len() as u64
+        + span_bytes
 }
 
 /// Writes the deterministic JSONL form of one retained trace.
@@ -314,15 +371,15 @@ pub fn serialize_into(
     reason: KeepReason,
     trace: &FrameTrace,
 ) {
-    out.push_str("{\"tenant\":");
+    out.push_str(TENANT);
     push_u64(out, u64::from(tenant));
-    out.push_str(",\"trace_id\":");
+    out.push_str(TRACE_ID);
     push_u64(out, trace_id);
-    out.push_str(",\"seq\":");
+    out.push_str(SEQ);
     push_u64(out, trace.seq);
-    out.push_str(",\"reason\":\"");
+    out.push_str(REASON);
     out.push_str(reason.as_str());
-    out.push_str("\",\"span\":");
+    out.push_str(SPAN);
     trace.root.write_json(out);
     out.push('}');
 }
@@ -331,14 +388,38 @@ pub fn serialize_into(
 mod tests {
     use super::*;
     use crate::names::stage;
-    use crate::trace::SpanNode;
+    use crate::trace::{SpanLen, SpanNode, SpanTree};
     use gbooster_sim::time::SimTime;
 
-    fn frame(seq: u64) -> FrameTrace {
+    fn frame<S: SpanTree>(seq: u64) -> S {
         let t = |us: u64| SimTime::from_micros(us);
-        let mut root = SpanNode::new(stage::FRAME, t(seq * 1_000), t(seq * 1_000 + 900));
+        let mut root = S::new(stage::FRAME, t(seq * 1_000), t(seq * 1_000 + 900));
         root.stage(stage::DISPATCH_WAIT, t(seq * 1_000), t(seq * 1_000 + 100));
-        FrameTrace { seq, root }
+        root
+    }
+
+    /// Offers tenant `tenant`'s frame `seq`, holding its trace for the
+    /// line and measuring the line without writing it.
+    fn offer(
+        s: &mut TailSampler<FrameTrace>,
+        tenant: u32,
+        seq: u64,
+        latency_us: u64,
+        verdict: FrameVerdict,
+    ) -> Option<KeepReason> {
+        let id = trace_id(u64::from(tenant) + 1, seq);
+        s.offer(tenant, seq, id, latency_us, verdict, |reason| {
+            let span = frame::<SpanLen>(seq).bytes();
+            let root = frame::<SpanNode>(seq);
+            (
+                line_len(tenant, id, seq, reason, span),
+                FrameTrace { seq, root },
+            )
+        })
+    }
+
+    fn render(s: TailSampler<FrameTrace>) -> TailSampler {
+        s.render(|e, out| serialize_into(out, e.tenant, e.trace_id, e.reason, &e.line))
     }
 
     #[test]
@@ -350,7 +431,7 @@ mod tests {
             migration: true,
         };
         assert_eq!(
-            s.offer(0, 1, trace_id(1, 1), 500, all, &frame(1)),
+            offer(&mut s, 0, 1, 500, all),
             Some(KeepReason::SloViolation)
         );
         let incident = FrameVerdict {
@@ -358,16 +439,13 @@ mod tests {
             ..FrameVerdict::default()
         };
         assert_eq!(
-            s.offer(0, 2, trace_id(1, 2), 10, incident, &frame(2)),
+            offer(&mut s, 0, 2, 10, incident),
             Some(KeepReason::Incident)
         );
         // seq 4 is the head sample at interval 4; seq 3 is dropped.
+        assert_eq!(offer(&mut s, 0, 3, 10, FrameVerdict::default()), None);
         assert_eq!(
-            s.offer(0, 3, trace_id(1, 3), 10, FrameVerdict::default(), &frame(3)),
-            None
-        );
-        assert_eq!(
-            s.offer(0, 4, trace_id(1, 4), 10, FrameVerdict::default(), &frame(4)),
+            offer(&mut s, 0, 4, 10, FrameVerdict::default()),
             Some(KeepReason::HeadSample)
         );
         assert_eq!(s.kept(), 3);
@@ -380,17 +458,27 @@ mod tests {
     fn budget_evicts_oldest_but_pins_the_worst() {
         // Budget fits roughly two lines; the worst-latency trace must
         // survive while older cheap ones rotate out.
-        let line_len =
-            serialize_line(0, trace_id(1, 0), KeepReason::SloViolation, &frame(0)).len() as u64;
-        let mut s = TailSampler::new(0, line_len * 2 + 8);
+        let mut line = String::new();
+        let first = FrameTrace {
+            seq: 0,
+            root: frame(0),
+        };
+        serialize_into(
+            &mut line,
+            0,
+            trace_id(1, 0),
+            KeepReason::SloViolation,
+            &first,
+        );
+        let mut s = TailSampler::new(0, line.len() as u64 * 2 + 8);
         let slo = FrameVerdict {
             slo_violation: true,
             ..FrameVerdict::default()
         };
         // Worst latency arrives first.
-        s.offer(0, 0, trace_id(1, 0), 9_999, slo, &frame(0));
+        offer(&mut s, 0, 0, 9_999, slo);
         for seq in 1..6u64 {
-            s.offer(0, seq, trace_id(1, seq), 100 + seq, slo, &frame(seq));
+            offer(&mut s, 0, seq, 100 + seq, slo);
         }
         assert!(s.tenant_bytes(0) <= s.tenant_budget_bytes());
         assert!(s.is_retained(trace_id(1, 0)), "worst trace evicted");
@@ -404,10 +492,12 @@ mod tests {
         let mut s = TailSampler::new(1, u64::MAX);
         let head = FrameVerdict::default();
         for seq in [0u64, 9, 10, 99_999, 123_456_789] {
-            s.offer(0, seq, trace_id(1, seq), 10, head, &frame(seq));
+            offer(&mut s, 0, seq, 10, head);
         }
+        let s = render(s);
         assert_eq!(s.retained_count(), 5);
         for e in s.retained() {
+            assert_eq!(e.bytes, e.line.len() as u64, "miscounted {}", e.line);
             assert_eq!(e.line.capacity(), e.line.len(), "slack in {}", e.line);
         }
     }
@@ -419,7 +509,7 @@ mod tests {
             slo_violation: true,
             ..FrameVerdict::default()
         };
-        assert_eq!(s.offer(0, 0, trace_id(1, 0), 1, slo, &frame(0)), None);
+        assert_eq!(offer(&mut s, 0, 0, 1, slo), None);
         assert_eq!(s.dropped(), 1);
         assert_eq!(s.retained_count(), 0);
     }
@@ -431,17 +521,11 @@ mod tests {
         for s in [&mut a, &mut b] {
             for tenant in [1u32, 0] {
                 for seq in 0..3u64 {
-                    s.offer(
-                        tenant,
-                        seq,
-                        trace_id(u64::from(tenant) + 1, seq),
-                        10,
-                        FrameVerdict::default(),
-                        &frame(seq),
-                    );
+                    offer(s, tenant, seq, 10, FrameVerdict::default());
                 }
             }
         }
+        let (a, b) = (render(a), render(b));
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a, b);
         let jsonl = a.to_jsonl();

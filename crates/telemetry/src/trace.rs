@@ -56,14 +56,14 @@ impl SpanNode {
     }
 
     pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"name\":\"");
+        out.push_str(NAME);
         crate::json::escape_into(self.name, out);
-        out.push_str("\",\"start_us\":");
+        out.push_str(START);
         crate::json::push_u64(out, self.start.as_micros());
-        out.push_str(",\"end_us\":");
+        out.push_str(END);
         crate::json::push_u64(out, self.end.as_micros());
         if !self.children.is_empty() {
-            out.push_str(",\"children\":[");
+            out.push_str(CHILDREN);
             for (i, c) in self.children.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -73,6 +73,83 @@ impl SpanNode {
             out.push(']');
         }
         out.push('}');
+    }
+}
+
+/// The fixed parts of a span's JSON, written by [`SpanNode::write_json`]
+/// and counted by [`SpanLen`].
+const NAME: &str = "{\"name\":\"";
+const START: &str = "\",\"start_us\":";
+const END: &str = ",\"end_us\":";
+const CHILDREN: &str = ",\"children\":[";
+
+/// The calls that assemble a span tree, so one function can state a
+/// tree's shape once and either build it ([`SpanNode`]) or only measure
+/// its JSON ([`SpanLen`]).
+pub trait SpanTree: Sized {
+    /// A leaf span; `end` is clamped to `start`.
+    fn new(name: &'static str, start: SimTime, end: SimTime) -> Self;
+
+    /// Appends an already-assembled subtree.
+    fn push(&mut self, child: Self) -> &mut Self;
+
+    /// Appends a leaf child stage.
+    fn stage(&mut self, name: &'static str, start: SimTime, end: SimTime) -> &mut Self {
+        let child = Self::new(name, start, end);
+        self.push(child)
+    }
+}
+
+impl SpanTree for SpanNode {
+    fn new(name: &'static str, start: SimTime, end: SimTime) -> Self {
+        SpanNode::new(name, start, end)
+    }
+
+    fn push(&mut self, child: Self) -> &mut Self {
+        SpanNode::push(self, child)
+    }
+}
+
+/// The length in bytes of the JSON the exporters write for the span
+/// tree the same [`SpanTree`] calls would build (the `"span"` of a
+/// [`crate::sample::serialize_into`] line), without building the tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanLen {
+    bytes: u64,
+    has_children: bool,
+}
+
+impl SpanLen {
+    /// The JSON length of the tree assembled so far.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl SpanTree for SpanLen {
+    fn new(name: &'static str, start: SimTime, end: SimTime) -> Self {
+        let fixed = NAME.len() + START.len() + END.len() + "}".len();
+        SpanLen {
+            bytes: fixed as u64
+                + crate::json::escaped_len(name)
+                + crate::json::u64_len(start.as_micros())
+                + crate::json::u64_len(end.max(start).as_micros()),
+            has_children: false,
+        }
+    }
+
+    fn push(&mut self, child: Self) -> &mut Self {
+        // The first child opens the list and its closing `]`; every
+        // later one adds a separating comma.
+        let framing = if self.has_children {
+            ",".len()
+        } else {
+            CHILDREN.len() + "]".len()
+        };
+        self.bytes += framing as u64 + child.bytes;
+        self.has_children = true;
+        self
     }
 }
 
@@ -220,6 +297,26 @@ mod tests {
         let first = jsonl.lines().next().unwrap();
         assert!(first.starts_with("{\"seq\":0,\"span\":{\"name\":\"frame\""));
         assert!(first.contains("\"children\":[{\"name\":\"stage.decode\""));
+    }
+
+    /// A tree with every part of the span JSON: one and several
+    /// children, nesting, a clamped stage, a name that needs escaping,
+    /// and numbers at digit boundaries.
+    fn every_part<S: SpanTree>() -> S {
+        let mut root = S::new(stage::FRAME, t(0), t(u64::MAX));
+        let mut inner = S::new(stage::UPLINK, t(9), t(10));
+        inner.stage(stage::DECODE, t(10), t(9));
+        root.push(inner);
+        root.stage("q\"uote", t(99), t(100))
+            .stage(stage::DISPLAY_WAIT, t(999_999), t(1_000_000));
+        root
+    }
+
+    #[test]
+    fn span_len_counts_what_write_json_writes() {
+        let mut out = String::new();
+        every_part::<SpanNode>().write_json(&mut out);
+        assert_eq!(every_part::<SpanLen>().bytes(), out.len() as u64, "{out}");
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! position wrote last time, checked against the series' name, and
 //! formats a key only on a miss. Owned strings are built only the
 //! first time a series appears.
+//!
+//! A store that knows which points will be evicted unread need not
+//! write them: [`Tsdb::storing_from`] counts the points before an
+//! instant without storing them (a histogram is not even copied). The
+//! series and counters come out as if every point had been stored, and
+//! so do the rings, provided nothing reads the store before its last
+//! point and every series, once it has a point, gets one at every later
+//! instant (the full conditions are on [`Tsdb::storing_from`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -86,6 +94,9 @@ pub struct Series {
     name: String,
     labels: Vec<(String, String)>,
     data: SeriesData,
+    /// Points taken at distinct instants, stored or only counted: once
+    /// this reaches the slot count, each new point evicts one.
+    taken: u64,
 }
 
 impl Series {
@@ -112,6 +123,8 @@ impl Series {
 #[derive(Clone, Debug)]
 pub struct Tsdb {
     slots: usize,
+    /// Points at earlier instants (µs) are counted, never stored.
+    stored_from: u64,
     /// Every series, in first-seen order.
     series: Vec<Series>,
     /// Canonical key (see [`write_key`]) → position in `series`. The
@@ -130,7 +143,8 @@ pub struct Tsdb {
 }
 
 /// Equality is over the stored series, their points and the counters;
-/// the scrape memo and the key buffer are caches, not state.
+/// the scrape memo and the key buffer are caches, not state, and the
+/// instant stored points start from is a policy, not state.
 impl PartialEq for Tsdb {
     fn eq(&self, other: &Self) -> bool {
         self.slots == other.slots
@@ -180,8 +194,30 @@ impl Tsdb {
     /// Creates a TSDB retaining at most `slots` points per series.
     #[must_use]
     pub fn new(slots: usize) -> Self {
+        Self::storing_from(slots, SimTime::ZERO)
+    }
+
+    /// Creates a TSDB like [`Tsdb::new`] that only counts the points it
+    /// is handed at instants before `from`. Such a point creates its
+    /// series and counts in [`Tsdb::ingested`] and [`Tsdb::evicted`]
+    /// exactly as a stored point would, and a series evicts by the
+    /// number of points it has taken, not by its ring's length; the
+    /// point itself is never written (a histogram is never copied).
+    ///
+    /// The store then equals one that stored every point as long as
+    /// each point before `from` is one a ring would have evicted by the
+    /// end: nothing reads the store before its last point, a series
+    /// with a point gets one at every later instant any series gets
+    /// one, and points arrive at [`Tsdb::slots`] or more distinct
+    /// instants from `from` on. A series must also take at most one
+    /// point per instant before `from`: a repeat there, which a stored
+    /// ring would overwrite, counts twice. The fabric observer meets
+    /// all of these by construction.
+    #[must_use]
+    pub fn storing_from(slots: usize, from: SimTime) -> Self {
         Tsdb {
             slots: slots.max(1),
+            stored_from: from.as_micros(),
             series: Vec::new(),
             index: BTreeMap::new(),
             memo_of: BTreeMap::new(),
@@ -228,6 +264,7 @@ impl Tsdb {
                     name: name.to_string(),
                     labels: owned_labels(labels),
                     data: make(),
+                    taken: 0,
                 });
                 self.index.insert(key.clone(), self.series.len() - 1);
                 self.series.len() - 1
@@ -259,9 +296,11 @@ impl Tsdb {
     /// Writes one point into the `ring_of` ring of series `idx`: `fill`
     /// overwrites the point at `at` when the series already holds that
     /// instant (re-scrape of the same instant), keeping timestamps
-    /// strictly increasing; past [`Tsdb::slots`] points it refills the
-    /// oldest point, which is evicted and counted; otherwise it fills a
-    /// fresh default point.
+    /// strictly increasing; once the series has taken [`Tsdb::slots`]
+    /// points, each new one evicts the oldest, which is counted and,
+    /// when the ring is full, refilled with the new point; otherwise it
+    /// fills a fresh default point. A point before the first stored
+    /// instant is only counted, and `fill` never runs.
     fn push<T: Default>(
         &mut self,
         idx: usize,
@@ -275,24 +314,32 @@ impl Tsdb {
             return;
         };
         let t = at.as_micros();
-        if let Some(last) = ring.back_mut() {
-            if last.0 == t {
-                fill(&mut last.1);
-                return;
-            }
-            debug_assert!(last.0 < t, "out-of-order point for {}", series.name);
-        }
-        let full = ring.len() >= self.slots;
-        let mut point = if full {
-            ring.pop_front().expect("a full ring holds a point")
+        if t < self.stored_from {
+            debug_assert!(
+                ring.is_empty(),
+                "out-of-order count-only point for {}",
+                series.name
+            );
         } else {
-            (t, T::default())
-        };
-        point.0 = t;
-        fill(&mut point.1);
-        ring.push_back(point);
+            if let Some(last) = ring.back_mut() {
+                if last.0 == t {
+                    fill(&mut last.1);
+                    return;
+                }
+                debug_assert!(last.0 < t, "out-of-order point for {}", series.name);
+            }
+            let mut point = if ring.len() >= self.slots {
+                ring.pop_front().expect("a full ring holds a point")
+            } else {
+                (t, T::default())
+            };
+            point.0 = t;
+            fill(&mut point.1);
+            ring.push_back(point);
+        }
         self.ingested += 1;
-        self.evicted += u64::from(full);
+        self.evicted += u64::from(series.taken >= self.slots as u64);
+        series.taken += 1;
     }
 
     /// Runs one registry scrape at `at` under `labels`: `walk` hands
@@ -531,6 +578,82 @@ mod tests {
             (recorded.ingested(), recorded.evicted())
         );
         assert_eq!(scraped, recorded);
+    }
+
+    /// Scrapes two registries (pool-style and tenant-labelled) at
+    /// `PERIODIC` instants 250 ms apart, then once more at `closing_ms`,
+    /// into a store that stores points from periodic scrape
+    /// `first_stored` on. One group of instruments appears before the
+    /// boundary, one at the last count-only scrape, one at the first
+    /// stored scrape and one at the closing scrape.
+    fn scrape_run(slots: usize, first_stored: u64, closing_ms: u64) -> Tsdb {
+        use crate::Registry;
+        use gbooster_sim::time::SimDuration;
+        const PERIODIC: u64 = 20;
+        let groups: [(u64, [&'static str; 4]); 4] = [
+            (1, ["a.count", "a.gauge", "a.hist", "a.win"]),
+            (12, ["m.count", "m.gauge", "m.hist", "m.win"]),
+            (13, ["p.count", "p.gauge", "p.hist", "p.win"]),
+            (PERIODIC + 1, ["z.count", "z.gauge", "z.hist", "z.win"]),
+        ];
+        let regs = [Registry::new(), Registry::new()];
+        let labels: [&[(&str, &str)]; 2] = [&[], &[("tenant", "t001")]];
+        let mut db = Tsdb::storing_from(slots, t(first_stored * 250));
+        for step in 1..=PERIODIC + 1 {
+            let at_ms = if step > PERIODIC {
+                closing_ms
+            } else {
+                step * 250
+            };
+            for (r, reg) in regs.iter().enumerate() {
+                for (g, &(from, [c, ga, h, w])) in groups.iter().enumerate() {
+                    if from > step {
+                        continue;
+                    }
+                    let v = step * 31 + g as u64 * 7 + r as u64;
+                    reg.counter(c).add(v);
+                    #[allow(clippy::cast_precision_loss)]
+                    reg.gauge(ga).set(v as f64 / 4.0);
+                    reg.histogram(h).record_tagged(v * v % 9_973, v);
+                    reg.windowed(w, SimDuration::from_millis(100), 4)
+                        .record(t(at_ms), v * 13);
+                }
+            }
+            for (reg, labels) in regs.iter().zip(labels) {
+                reg.scrape_into(&mut db, t(at_ms), labels);
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn count_only_scrapes_build_the_store_a_full_one_does() {
+        // 20 periodic scrapes into 8-slot rings: scrapes 1..=12 are
+        // evicted by the end, whether the closing scrape lands at a new
+        // instant or overwrites the last periodic one.
+        let slots = 8;
+        let first_stored = 20 - slots as u64 + 1;
+        for closing_ms in [5_100, 5_000] {
+            let full = scrape_run(slots, 0, closing_ms);
+            let counted = scrape_run(slots, first_stored, closing_ms);
+            assert!(full.evicted() > 0, "no ring wrapped");
+            assert_eq!(full.series_count(), 4 * 4 * 2);
+            assert_eq!(counted, full, "closing scrape at {closing_ms} ms");
+        }
+        // One count-only scrape more is still exact when the closing
+        // scrape adds a point, but not when it overwrites: the rings of
+        // the series older than the boundary then hold one point fewer.
+        assert_eq!(
+            scrape_run(slots, first_stored + 1, 5_100),
+            scrape_run(slots, 0, 5_100)
+        );
+        let short = scrape_run(slots, first_stored + 1, 5_000);
+        assert_ne!(short, scrape_run(slots, 0, 5_000));
+        let a_count = short
+            .series()
+            .find(|s| s.name() == "a.count")
+            .expect("series exists");
+        assert_eq!(a_count.data().len(), slots - 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! eviction order is a pure function of the offer sequence.
 
 use gbooster_sim::time::SimTime;
-use gbooster_telemetry::sample::{trace_id, FrameVerdict, TailSampler};
-use gbooster_telemetry::trace::{FrameTrace, SpanNode};
+use gbooster_telemetry::sample::{line_len, serialize_into, trace_id, FrameVerdict, TailSampler};
+use gbooster_telemetry::trace::{FrameTrace, SpanLen, SpanNode, SpanTree};
 use proptest::prelude::*;
 
 /// One synthetic frame offer: tenant, latency, verdict bits, and a
@@ -44,17 +44,21 @@ fn offers() -> impl Strategy<Value = Vec<Offer>> {
     )
 }
 
-fn trace_for(seq: u64, latency_us: u64, spans: usize) -> FrameTrace {
+fn tree_for<S: SpanTree>(seq: u64, latency_us: u64, spans: usize) -> S {
     let start = SimTime::from_micros(seq * 1_000);
     let end = SimTime::from_micros(seq * 1_000 + latency_us.max(1));
-    let mut root = SpanNode::new("frame", start, end);
+    let mut root = S::new("frame", start, end);
     for _ in 0..spans {
         root.stage("replay", start, end);
     }
-    FrameTrace { seq, root }
+    root
 }
 
-fn drive(sampler: &mut TailSampler, offers: &[Offer]) {
+/// Offers every frame to a fresh sampler, holding each kept frame's
+/// trace and measuring its line without writing it, then renders the
+/// lines of the traces still retained.
+fn drive(head_interval: u64, budget: u64, offers: &[Offer]) -> TailSampler {
+    let mut sampler = TailSampler::new(head_interval, budget);
     let mut seqs = [0u64; 4];
     for o in offers {
         let seq = seqs[o.tenant as usize];
@@ -65,9 +69,16 @@ fn drive(sampler: &mut TailSampler, offers: &[Offer]) {
             in_incident: o.in_incident,
             migration: o.migration,
         };
-        let trace = trace_for(seq, o.latency_us, o.spans);
-        sampler.offer(o.tenant, seq, id, o.latency_us, verdict, &trace);
+        sampler.offer(o.tenant, seq, id, o.latency_us, verdict, |reason| {
+            let span = tree_for::<SpanLen>(seq, o.latency_us, o.spans).bytes();
+            let root = tree_for::<SpanNode>(seq, o.latency_us, o.spans);
+            (
+                line_len(o.tenant, id, seq, reason, span),
+                FrameTrace { seq, root },
+            )
+        });
     }
+    sampler.render(|e, out| serialize_into(out, e.tenant, e.trace_id, e.reason, &e.line))
 }
 
 proptest! {
@@ -75,8 +86,7 @@ proptest! {
 
     #[test]
     fn budget_is_never_exceeded(offers in offers(), budget in 64u64..4096) {
-        let mut s = TailSampler::new(4, budget);
-        drive(&mut s, &offers);
+        let s = drive(4, budget, &offers);
         for tenant in 0..4u32 {
             let held = s.tenant_bytes(tenant);
             prop_assert!(held <= budget, "tenant {tenant}: {held} > {budget}");
@@ -96,8 +106,7 @@ proptest! {
 
     #[test]
     fn counters_reconcile(offers in offers(), budget in 64u64..4096) {
-        let mut s = TailSampler::new(4, budget);
-        drive(&mut s, &offers);
+        let s = drive(4, budget, &offers);
         prop_assert_eq!(s.kept() + s.dropped(), offers.len() as u64);
         // kept counts verdicts, not residency: evictions only ever
         // shrink the retained set below kept, one entry each.
@@ -112,10 +121,8 @@ proptest! {
     fn eviction_order_is_deterministic(offers in offers(), budget in 64u64..4096) {
         // Same offer sequence, two fresh samplers: every observable —
         // retained set, serialization, counters — must coincide.
-        let mut a = TailSampler::new(4, budget);
-        let mut b = TailSampler::new(4, budget);
-        drive(&mut a, &offers);
-        drive(&mut b, &offers);
+        let a = drive(4, budget, &offers);
+        let b = drive(4, budget, &offers);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
@@ -124,12 +131,11 @@ proptest! {
     fn always_keep_verdicts_are_kept(offers in offers()) {
         // With an effectively unbounded budget, every SLO-violating,
         // incident-window, or migration frame is retained.
-        let mut s = TailSampler::new(u64::MAX, u64::MAX / 2);
         let must_keep = offers
             .iter()
             .filter(|o| o.slo_violation || o.in_incident || o.migration)
             .count() as u64;
-        drive(&mut s, &offers);
+        let s = drive(u64::MAX, u64::MAX / 2, &offers);
         prop_assert!(s.kept() >= must_keep);
         prop_assert_eq!(s.evictions(), 0);
         let retained_flagged = s
