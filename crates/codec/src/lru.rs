@@ -6,12 +6,17 @@
 //! commands on the user device and the service device. Thereby, the user
 //! device can skip transmitting the commands which are cached."
 //!
-//! [`CommandCache`] is a constant-time LRU keyed by a 64-bit hash of the
-//! encoded command. The sender checks the cache before transmitting: a hit
+//! [`Lru`] is a constant-time LRU keyed by a 64-bit hash of the encoded
+//! command. The sender checks the cache before transmitting: a hit
 //! becomes a tiny [`CacheToken::Ref`]; a miss inserts and sends the full
 //! bytes. Because both ends apply the *same* deterministic update rule,
 //! the receiver's cache stays synchronized and can expand references —
 //! verified by the mirror tests below.
+//!
+//! The update rule reads only keys, so each end chooses what an entry
+//! holds. [`CommandCache`] holds the encoded bytes; an end that never
+//! reads them back keeps less, such as a sender that keeps only their
+//! length or a receiver that keeps the command it decoded from them.
 
 use std::collections::HashMap;
 
@@ -41,14 +46,34 @@ impl CacheToken {
 const NIL: usize = usize::MAX;
 
 #[derive(Clone)]
-struct Node {
+struct Node<V> {
     key: u64,
-    value: Vec<u8>,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-/// A fixed-capacity LRU cache of encoded commands.
+/// A fixed-capacity LRU cache of commands, keyed by the content hash of
+/// their encoding, whose entries hold a `V` each.
+///
+/// The cache is `Clone`: a rejoining service device is brought current
+/// by copying a synchronized peer's cache state in one resync transfer
+/// instead of replaying the whole token history.
+#[derive(Clone)]
+pub struct Lru<V> {
+    capacity: usize,
+    map: HashMap<u64, usize>,
+    /// Every entry, each in the slot it was inserted into; a full
+    /// cache's insert reuses the least recently used entry's slot.
+    nodes: Vec<Node<V>>,
+    head: usize, // most recent
+    tail: usize, // least recent
+    hits: u64,
+    misses: u64,
+    counters: Option<(Counter, Counter)>,
+}
+
+/// The LRU cache of encoded commands: each entry holds the bytes.
 ///
 /// # Examples
 ///
@@ -60,26 +85,11 @@ struct Node {
 /// assert!(matches!(sender.offer(&cmd), CacheToken::Full(_)));
 /// assert!(matches!(sender.offer(&cmd), CacheToken::Ref(_)));
 /// ```
-///
-/// The cache is `Clone`: a rejoining service device is brought current
-/// by copying a synchronized peer's cache state in one resync transfer
-/// instead of replaying the whole token history.
-#[derive(Clone)]
-pub struct CommandCache {
-    capacity: usize,
-    map: HashMap<u64, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recent
-    tail: usize, // least recent
-    hits: u64,
-    misses: u64,
-    counters: Option<(Counter, Counter)>,
-}
+pub type CommandCache = Lru<Vec<u8>>;
 
-impl std::fmt::Debug for CommandCache {
+impl<V> std::fmt::Debug for Lru<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommandCache")
+        f.debug_struct("Lru")
             .field("capacity", &self.capacity)
             .field("len", &self.map.len())
             .field("hits", &self.hits)
@@ -93,7 +103,7 @@ pub fn content_key(bytes: &[u8]) -> u64 {
     fnv1a(FNV1A_OFFSET, bytes)
 }
 
-impl CommandCache {
+impl<V> Lru<V> {
     /// Creates a cache holding at most `capacity` distinct commands.
     ///
     /// # Panics
@@ -101,11 +111,10 @@ impl CommandCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be nonzero");
-        CommandCache {
+        Lru {
             capacity,
             map: HashMap::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             hits: 0,
@@ -117,9 +126,8 @@ impl CommandCache {
     /// Mirrors hit/miss events into `registry` (under
     /// [`names::forward::CACHE_HITS`] / `CACHE_MISSES`) from now on;
     /// prior events are backfilled so the counters always equal
-    /// [`CommandCache::hits`] / [`CommandCache::misses`]. Attach only on
-    /// the sender side — the receiver replays the same token stream and
-    /// would double-count.
+    /// [`Lru::hits`] / [`Lru::misses`]. Attach only on the sender side —
+    /// the receiver replays the same token stream and would double-count.
     pub fn attach_registry(&mut self, registry: &Registry) {
         let hits = registry.counter(names::forward::CACHE_HITS);
         let misses = registry.counter(names::forward::CACHE_MISSES);
@@ -128,19 +136,11 @@ impl CommandCache {
         self.counters = Some((hits, misses));
     }
 
-    /// Sender side: offers a command for transmission. Returns the token
-    /// to put on the wire and updates the cache deterministically.
-    pub fn offer(&mut self, encoded: &[u8]) -> CacheToken {
-        match self.offer_ref(encoded) {
-            Some(key) => CacheToken::Ref(key),
-            None => CacheToken::Full(encoded.to_vec()),
-        }
-    }
-
-    /// [`Self::offer`] without building the token: returns the key to
-    /// send as a [`CacheToken::Ref`] on a hit, and `None` on a miss, when
-    /// the caller sends `encoded` itself as the full body.
-    pub fn offer_ref(&mut self, encoded: &[u8]) -> Option<u64> {
+    /// Sender side: offers the command encoded as `encoded`. Returns the
+    /// key to send as a [`CacheToken::Ref`] on a hit. On a miss, caches
+    /// `value()` and returns `None`: the caller sends `encoded` itself as
+    /// the full body.
+    pub fn offer_with(&mut self, encoded: &[u8], value: impl FnOnce() -> V) -> Option<u64> {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let key = content_key(encoded);
         if let Some(&idx) = self.map.get(&key) {
@@ -155,31 +155,32 @@ impl CommandCache {
             if let Some((_, misses)) = &self.counters {
                 misses.inc();
             }
-            self.insert(key, encoded.to_vec());
+            self.insert(key, value());
             None
         }
     }
 
-    /// Receiver side of a [`CacheToken::Ref`]: the cached bytes, borrowed,
-    /// or `None` when this cache does not hold `key` — a protocol
-    /// desynchronization (impossible when both sides start empty and see
-    /// the same token stream).
-    pub fn accept_ref(&mut self, key: u64) -> Option<&[u8]> {
+    /// Receiver side of a [`CacheToken::Ref`]: the entry cached under
+    /// `key`, now the most recently used, or `None` when this cache does
+    /// not hold `key` — a protocol desynchronization (impossible when
+    /// both sides start empty and see the same token stream).
+    pub fn get(&mut self, key: u64) -> Option<&V> {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let idx = *self.map.get(&key)?;
         self.touch(idx);
         Some(&self.nodes[idx].value)
     }
 
-    /// Receiver side of a [`CacheToken::Full`] body: caches a copy of
-    /// `data` unless it is already held.
-    pub fn accept_full(&mut self, data: &[u8]) {
+    /// Receiver side of a [`CacheToken::Full`] body: caches `value()`
+    /// under `data`'s key unless that key is already held, in which case
+    /// the held entry becomes the most recently used.
+    pub fn accept_full_with(&mut self, data: &[u8], value: impl FnOnce() -> V) {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let key = content_key(data);
         if let Some(&idx) = self.map.get(&key) {
             self.touch(idx);
         } else {
-            self.insert(key, data.to_vec());
+            self.insert(key, value());
         }
     }
 
@@ -213,49 +214,31 @@ impl CommandCache {
         }
     }
 
-    /// Bytes resident in cached values (memory-overhead accounting).
-    pub fn resident_bytes(&self) -> usize {
-        self.map
-            .values()
-            .map(|&idx| self.nodes[idx].value.len())
-            .sum()
+    /// Every cached entry, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.nodes.iter().map(|node| &node.value)
     }
 
-    fn insert(&mut self, key: u64, value: Vec<u8>) {
-        if self.map.len() == self.capacity {
-            self.evict_lru();
-        }
-        let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = Node {
-                key,
-                value,
-                prev: NIL,
-                next: NIL,
-            };
-            idx
+    fn insert(&mut self, key: u64, value: V) {
+        let node = Node {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = if self.map.len() == self.capacity {
+            // Full: the least recently used entry gives up its slot.
+            let lru = self.tail;
+            self.unlink(lru);
+            self.map.remove(&self.nodes[lru].key);
+            self.nodes[lru] = node;
+            lru
         } else {
-            self.nodes.push(Node {
-                key,
-                value,
-                prev: NIL,
-                next: NIL,
-            });
+            self.nodes.push(node);
             self.nodes.len() - 1
         };
         self.push_front(idx);
         self.map.insert(key, idx);
-    }
-
-    fn evict_lru(&mut self) {
-        let tail = self.tail;
-        if tail == NIL {
-            return;
-        }
-        self.unlink(tail);
-        let key = self.nodes[tail].key;
-        self.map.remove(&key);
-        self.nodes[tail].value = Vec::new();
-        self.free.push(tail);
     }
 
     fn touch(&mut self, idx: usize) {
@@ -292,6 +275,41 @@ impl CommandCache {
         if self.tail == NIL {
             self.tail = idx;
         }
+    }
+}
+
+impl CommandCache {
+    /// Sender side: offers a command for transmission. Returns the token
+    /// to put on the wire and updates the cache deterministically.
+    pub fn offer(&mut self, encoded: &[u8]) -> CacheToken {
+        match self.offer_ref(encoded) {
+            Some(key) => CacheToken::Ref(key),
+            None => CacheToken::Full(encoded.to_vec()),
+        }
+    }
+
+    /// [`Self::offer`] without building the token: returns the key to
+    /// send as a [`CacheToken::Ref`] on a hit, and `None` on a miss, when
+    /// the caller sends `encoded` itself as the full body.
+    pub fn offer_ref(&mut self, encoded: &[u8]) -> Option<u64> {
+        self.offer_with(encoded, || encoded.to_vec())
+    }
+
+    /// Receiver side of a [`CacheToken::Ref`]: the cached bytes, borrowed,
+    /// or `None` when this cache does not hold `key` (see [`Lru::get`]).
+    pub fn accept_ref(&mut self, key: u64) -> Option<&[u8]> {
+        self.get(key).map(Vec::as_slice)
+    }
+
+    /// Receiver side of a [`CacheToken::Full`] body: caches a copy of
+    /// `data` unless it is already held.
+    pub fn accept_full(&mut self, data: &[u8]) {
+        self.accept_full_with(data, || data.to_vec());
+    }
+
+    /// Bytes resident in cached values (memory-overhead accounting).
+    pub fn resident_bytes(&self) -> usize {
+        self.values().map(Vec::len).sum()
     }
 }
 

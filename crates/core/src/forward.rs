@@ -9,22 +9,30 @@
 //!          | 0x01 u32 len bytes[len]       (full encoded command)
 //! ```
 //!
-//! Both ends run the *same* deterministic [`CommandCache`] update rule, so
-//! the receiver can always expand a `Ref` token; a miss is a protocol
-//! violation surfaced as [`GBoosterError::CacheDesync`].
+//! Both ends run the *same* deterministic [`Lru`] update rule, so the
+//! receiver can always expand a `Ref` token; a miss is a protocol
+//! violation surfaced as [`GBoosterError::CacheDesync`]. Neither end
+//! keeps the bytes it cached: the forwarder's entries hold each
+//! command's encoded length, which is all memory accounting reads, and
+//! the receiver's hold the command decoded from them. A `Ref` then
+//! expands to a clone that shares the cached command's payload `Arc`, so
+//! the receiver decodes each distinct command once, when its `Full` body
+//! arrives.
 //!
 //! Both directions reuse their scratch buffers across frames: the
 //! forwarder's resolved-command list, encoded command and token stream,
-//! and the receiver's decompressed token stream and decoded-command
-//! list. Commands are encoded, cached, expanded and decoded from
-//! borrowed slices, and LZ4 keeps one match table per thread, so a
-//! steady-state frame allocates little beyond its wire bytes and one
-//! exact-size list of its decoded commands. A buffer is kept only
-//! while its capacity is at most [`SCRATCH_RETAIN_MAX`] (64 KiB, the LZ4
-//! window); a larger one, such as the setup stream's ~1.6 MB token
-//! stream, is dropped after its frame so it does not pin peak heap.
+//! and the receiver's decompressed token stream. Commands are encoded,
+//! cached and decoded from borrowed slices, and LZ4 keeps one match
+//! table per thread. [`ServiceReceiver::receive_into`] fills a list the
+//! caller reuses, so a steady-state frame allocates its wire bytes, the
+//! pointer data the resolver materializes, and the payloads of the
+//! commands that miss the cache, and no list of commands. A buffer is
+//! kept only while its capacity is at most [`SCRATCH_RETAIN_MAX`]
+//! (64 KiB, the LZ4 window); a larger one, such as the setup stream's
+//! ~1.6 MB token stream, is dropped after its frame so it does not pin
+//! peak heap.
 
-use gbooster_codec::lru::CommandCache;
+use gbooster_codec::lru::Lru;
 use gbooster_codec::lz4::{self, Lz4Frame};
 use gbooster_gles::command::{ClientMemory, GlCommand};
 use gbooster_gles::serialize::{
@@ -43,7 +51,7 @@ pub const SCRATCH_RETAIN_MAX: usize = 64 * 1024;
 
 /// Readies `buf` for the next frame: cleared, or released when its
 /// capacity exceeds [`SCRATCH_RETAIN_MAX`].
-fn recycle<T>(buf: &mut Vec<T>) {
+pub(crate) fn recycle<T>(buf: &mut Vec<T>) {
     if buf.capacity() * std::mem::size_of::<T>() > SCRATCH_RETAIN_MAX {
         *buf = Vec::new();
     } else {
@@ -115,7 +123,8 @@ struct ForwardCounters {
 #[derive(Debug)]
 pub struct CommandForwarder {
     resolver: DeferredResolver,
-    cache: CommandCache,
+    /// Each cached command's encoded length.
+    cache: Lru<usize>,
     counters: Option<ForwardCounters>,
     attr: Option<AttributionLog>,
     /// Commands the resolver released for the current input command.
@@ -139,7 +148,7 @@ impl CommandForwarder {
     pub fn new() -> Self {
         CommandForwarder {
             resolver: DeferredResolver::new(),
-            cache: CommandCache::new(CACHE_CAPACITY),
+            cache: Lru::new(CACHE_CAPACITY),
             counters: None,
             attr: None,
             resolved: Vec::new(),
@@ -210,7 +219,7 @@ impl CommandForwarder {
                 raw_bytes += encoded.len();
                 command_count += 1;
                 let token_start = tokens.len();
-                let cache_hit = match cache.offer_ref(encoded) {
+                let cache_hit = match cache.offer_with(encoded, || encoded.len()) {
                     Some(key) => {
                         tokens.push(0x00);
                         tokens.extend_from_slice(&key.to_le_bytes());
@@ -299,9 +308,10 @@ impl CommandForwarder {
         self.cache.hit_rate()
     }
 
-    /// Bytes resident in the sender cache (memory-overhead accounting).
+    /// Bytes of the commands the sender cache holds (memory-overhead
+    /// accounting): the bytes a cache of encodings would keep resident.
     pub fn cache_resident_bytes(&self) -> usize {
-        self.cache.resident_bytes()
+        self.cache.values().sum()
     }
 }
 
@@ -313,9 +323,11 @@ impl CommandForwarder {
 /// instead of replaying the token history it missed.
 #[derive(Clone, Debug)]
 pub struct ServiceReceiver {
-    cache: CommandCache,
-    /// The current frame's decompressed token stream and decoded
-    /// commands; empty between frames, so a clone copies no scratch.
+    /// Each cached command, decoded once.
+    cache: Lru<GlCommand>,
+    /// The current frame's decompressed token stream, and the list
+    /// [`Self::receive`] decodes into; empty between frames, so a clone
+    /// copies no scratch.
     tokens: Vec<u8>,
     commands: Vec<GlCommand>,
 }
@@ -330,13 +342,13 @@ impl ServiceReceiver {
     /// Creates a receiver with the protocol cache capacity.
     pub fn new() -> Self {
         ServiceReceiver {
-            cache: CommandCache::new(CACHE_CAPACITY),
+            cache: Lru::new(CACHE_CAPACITY),
             tokens: Vec::new(),
             commands: Vec::new(),
         }
     }
 
-    /// Decodes one wire frame back into commands.
+    /// Decodes one wire frame back into an exact-size list of commands.
     ///
     /// # Errors
     ///
@@ -344,6 +356,45 @@ impl ServiceReceiver {
     /// desynchronization.
     pub fn receive(&mut self, wire: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
         gbooster_telemetry::prof_scope!(names::host::GLES_DECODE);
+        let mut commands = std::mem::take(&mut self.commands);
+        let received = self.decode_frame(wire, &mut commands).map(|()| {
+            let mut exact = Vec::with_capacity(commands.len());
+            exact.append(&mut commands);
+            exact
+        });
+        recycle(&mut commands);
+        self.commands = commands;
+        received
+    }
+
+    /// [`Self::receive`] into `out`, which is cleared first: a caller
+    /// that keeps `out` from frame to frame allocates no list.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::receive`]; `out` is then left empty.
+    pub fn receive_into(
+        &mut self,
+        wire: &[u8],
+        out: &mut Vec<GlCommand>,
+    ) -> Result<(), GBoosterError> {
+        gbooster_telemetry::prof_scope!(names::host::GLES_DECODE);
+        out.clear();
+        let received = self.decode_frame(wire, out);
+        if received.is_err() {
+            out.clear();
+        }
+        received
+    }
+
+    /// Decompresses one wire frame and appends its commands to
+    /// `commands`, which grows as they decode (it is never sized from
+    /// the unvalidated stream).
+    fn decode_frame(
+        &mut self,
+        wire: &[u8],
+        commands: &mut Vec<GlCommand>,
+    ) -> Result<(), GBoosterError> {
         if wire.len() < 4 {
             return Err(GBoosterError::Codec("frame shorter than header".into()));
         }
@@ -358,30 +409,22 @@ impl ServiceReceiver {
             )));
         }
         let mut tokens = std::mem::take(&mut self.tokens);
-        let mut commands = std::mem::take(&mut self.commands);
         let decoded = match lz4::decompress_into(payload, token_len, &mut tokens) {
             Err(e) => Err(GBoosterError::Codec(e.to_string())),
             Ok(()) if tokens.len() != token_len => Err(GBoosterError::Codec(format!(
                 "token stream {} bytes, header said {token_len}",
                 tokens.len()
             ))),
-            // The scratch list grows as commands decode (never sized
-            // from the unvalidated stream); the caller gets the
-            // commands moved into an exact-size list.
-            Ok(()) => self.decode_tokens(&tokens, &mut commands).map(|()| {
-                let mut exact = Vec::with_capacity(commands.len());
-                exact.append(&mut commands);
-                exact
-            }),
+            Ok(()) => self.decode_tokens(&tokens, commands),
         };
         recycle(&mut tokens);
-        recycle(&mut commands);
         self.tokens = tokens;
-        self.commands = commands;
         decoded
     }
 
     /// Expands and decodes a decompressed token stream into `commands`.
+    /// A `Ref` clones the cached command; only a `Full` body is decoded,
+    /// and it is cached only once it decoded whole.
     fn decode_tokens(
         &mut self,
         tokens: &[u8],
@@ -391,38 +434,38 @@ impl ServiceReceiver {
         while i < tokens.len() {
             let tag = tokens[i];
             i += 1;
-            let encoded = match tag {
+            match tag {
                 0x00 => {
-                    let bytes = tokens
-                        .get(i..i + 8)
+                    let bytes = tokens[i..]
+                        .get(..8)
                         .ok_or_else(|| GBoosterError::Codec("truncated ref token".into()))?;
                     i += 8;
                     let key = u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes"));
-                    self.cache
-                        .accept_ref(key)
-                        .ok_or(GBoosterError::CacheDesync(key))?
+                    let cmd = self.cache.get(key).ok_or(GBoosterError::CacheDesync(key))?;
+                    commands.push(cmd.clone());
                 }
                 0x01 => {
-                    let len_bytes = tokens
-                        .get(i..i + 4)
+                    let len_bytes = tokens[i..]
+                        .get(..4)
                         .ok_or_else(|| GBoosterError::Codec("truncated full token".into()))?;
                     let len = u32::from_le_bytes(len_bytes.try_into().expect("slice is 4 bytes"))
                         as usize;
                     i += 4;
-                    let body = tokens
-                        .get(i..i + len)
+                    // Sliced from what remains, so a length off the wire
+                    // is never added to an index.
+                    let body = tokens[i..]
+                        .get(..len)
                         .ok_or_else(|| GBoosterError::Codec("truncated command body".into()))?;
                     i += len;
-                    self.cache.accept_full(body);
-                    body
+                    let (cmd, used) = decode_command(body)?;
+                    if used != body.len() {
+                        return Err(GBoosterError::Codec("trailing bytes after command".into()));
+                    }
+                    self.cache.accept_full_with(body, || cmd.clone());
+                    commands.push(cmd);
                 }
                 other => return Err(GBoosterError::Codec(format!("unknown token tag {other}"))),
-            };
-            let (cmd, used) = decode_command(encoded)?;
-            if used != encoded.len() {
-                return Err(GBoosterError::Codec("trailing bytes after command".into()));
             }
-            commands.push(cmd);
         }
         Ok(())
     }
@@ -431,15 +474,12 @@ impl ServiceReceiver {
     pub fn retained_scratch_bytes(&self) -> usize {
         self.tokens.capacity() + self.commands.capacity() * std::mem::size_of::<GlCommand>()
     }
-
-    /// Bytes resident in the receiver cache.
-    pub fn cache_resident_bytes(&self) -> usize {
-        self.cache.resident_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use gbooster_gles::command::VertexSource;
     use gbooster_gles::serialize::WireError;
@@ -507,6 +547,77 @@ mod tests {
             panic!("pointer not materialized: {:?}", received[0]);
         };
         assert_eq!(data.len(), 24);
+    }
+
+    #[test]
+    fn a_ref_shares_the_command_its_full_body_decoded_to() {
+        let (mut tx, mut rx, mut mem) = pipeline();
+        let ptr = mem.alloc(vec![7u8; 48]);
+        let frame = vec![
+            GlCommand::VertexAttribPointer {
+                index: 0,
+                size: 2,
+                ty: AttribType::F32,
+                normalized: false,
+                stride: 0,
+                source: VertexSource::ClientMemory(ptr),
+            },
+            GlCommand::DrawArrays {
+                mode: Primitive::Triangles,
+                first: 0,
+                count: 3,
+            },
+            GlCommand::SwapBuffers,
+        ];
+        let payload = |cmd: &GlCommand| match cmd {
+            GlCommand::VertexAttribPointer {
+                source: VertexSource::Materialized(data),
+                ..
+            } => Arc::clone(data),
+            other => panic!("pointer not materialized: {other:?}"),
+        };
+        let first = tx.forward_frame(&frame, &mem).unwrap();
+        let decoded = rx.receive(&first.wire).unwrap();
+        let second = tx.forward_frame(&frame, &mem).unwrap();
+        assert_eq!(second.cache_hits, 3, "the second frame is all refs");
+        let mut expanded = Vec::new();
+        rx.receive_into(&second.wire, &mut expanded).unwrap();
+        assert_eq!(expanded, decoded);
+        assert!(
+            Arc::ptr_eq(&payload(&expanded[0]), &payload(&decoded[0])),
+            "a ref must not decode its command again"
+        );
+    }
+
+    #[test]
+    fn receive_into_reuses_the_list_and_empties_it_on_error() {
+        let (mut tx, mut rx, _mem) = pipeline();
+        let mut gen = TraceGenerator::new(GenreProfile::action(), 1.0, 640, 360, 3);
+        let setup = gen.setup_trace();
+        let fwd = tx
+            .forward_frame(&setup.commands, gen.client_memory())
+            .unwrap();
+        let mut mirror = rx.clone();
+        let mut list = Vec::new();
+        rx.receive_into(&fwd.wire, &mut list).unwrap();
+        assert_eq!(list, mirror.receive(&fwd.wire).unwrap());
+        let mut reused = 0;
+        for _ in 0..20 {
+            let frame = gen.next_frame(1.0 / 30.0);
+            let fwd = tx
+                .forward_frame(&frame.commands, gen.client_memory())
+                .unwrap();
+            let (held, fits) = (list.as_ptr(), list.capacity() >= fwd.command_count);
+            rx.receive_into(&fwd.wire, &mut list).unwrap();
+            assert_eq!(list, mirror.receive(&fwd.wire).unwrap());
+            if fits {
+                assert_eq!(list.as_ptr(), held, "a list that fits is reused");
+                reused += 1;
+            }
+        }
+        assert!(reused > 0);
+        assert!(rx.receive_into(&fwd.wire[..2], &mut list).is_err());
+        assert!(list.is_empty());
     }
 
     #[test]

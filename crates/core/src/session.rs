@@ -30,7 +30,7 @@ use gbooster_telemetry::{
     FlightRecorder, FrameTrace, Histogram, HostProfileSnapshot, HostProfiler, OpsReport, Registry,
     RemoteSpanLog, SpanNode, TelemetrySnapshot, TraceContext, TraceLog,
 };
-use gbooster_workload::tracegen::TraceGenerator;
+use gbooster_workload::tracegen::{self, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -38,7 +38,7 @@ use crate::config::{
     ExecutionMode, FaultInjection, LinkPartition, NodeEvent, OffloadConfig, SessionConfig,
 };
 use crate::error::GBoosterError;
-use crate::forward::{CommandForwarder, ServiceReceiver};
+use crate::forward::{recycle, CommandForwarder, ServiceReceiver};
 use crate::health::{HealthEvent, HealthMonitor};
 use crate::metrics::{CpuLedger, ResponseTracker};
 use crate::ops::OpsRuntime;
@@ -388,13 +388,14 @@ fn run_local(config: &SessionConfig) -> SessionReport {
     let mut shown_prev: VecDeque<SimTime> = VecDeque::new();
     let mut last_shown = SimTime::ZERO;
     let mut dt_est = 1.0 / 30.0;
+    let mut trace = tracegen::FrameTrace::default();
 
     while last_shown < duration {
         let mut start = app_free;
         if shown_prev.len() >= 2 {
             start = start.max(shown_prev[shown_prev.len() - 2]);
         }
-        let trace = gen.next_frame(dt_est);
+        gen.next_frame_into(dt_est, &mut trace);
         let animate = duty_rng.gen_bool(config.workload.profile.animation_duty);
         let cpu_secs = trace.cpu_gcycles / dev.cpu.clock_ghz;
         let app_done = start + SimDuration::from_secs_f64(cpu_secs);
@@ -502,7 +503,9 @@ fn record_session_counters(registry: &Registry, frames: u64, ledger: &CpuLedger,
 /// Everything needed to present the frame later travels with it: the
 /// phone-side span boundaries, the uplink transfer, the dispatch
 /// booking, and the frame's decoded commands (kept so a node failure
-/// can re-execute the draws on the next-best node).
+/// can re-execute the draws on the next-best node). The command list
+/// comes from the engine's free list and returns there when the frame
+/// is presented.
 struct PendingFrame {
     seq: u64,
     ctx: TraceContext,
@@ -567,6 +570,8 @@ struct ArrivedFrame {
 struct OffloadEngine {
     // Pipeline components.
     gen: TraceGenerator,
+    /// The frame being issued, reused from one frame to the next.
+    trace: tracegen::FrameTrace,
     forwarder: CommandForwarder,
     runtimes: Vec<ServiceRuntime>,
     dispatcher: Dispatcher,
@@ -629,6 +634,8 @@ struct OffloadEngine {
     wakes_base: u64,
     pending: Vec<PendingFrame>,
     arrived: ReorderBuffer<ArrivedFrame>,
+    /// Command lists of presented frames, for frames yet to be issued.
+    free_lists: Vec<Vec<GlCommand>>,
     next_seq: u64,
     app_free: SimTime,
     decode_free: SimTime,
@@ -721,18 +728,31 @@ impl OffloadEngine {
         self.issue_frame(start)
     }
 
-    /// Issues frame `next_seq`. The resilience layer runs first — the
-    /// injected event schedule, liveness probes (with node rejoin), and
-    /// the SLO hysteresis — then the frame takes one of two paths:
-    /// the offload pipeline (game logic, interception, serialization,
-    /// LZ4, uplink, Eq. 4 dispatch, state replication to every live
-    /// device), or the local-render fallback. Either way the frame stays
-    /// pending until it is retired.
+    /// Generates frame `next_seq` into the engine's reused frame and
+    /// issues it ([`Self::issue_trace`]).
     fn issue_frame(&mut self, start: SimTime) -> Result<(), GBoosterError> {
         gbooster_telemetry::prof_scope!(names::host::ISSUE);
+        let mut trace = std::mem::take(&mut self.trace);
+        self.gen.next_frame_into(self.dt_est, &mut trace);
+        let issued = self.issue_trace(start, &trace);
+        self.trace = trace;
+        issued
+    }
+
+    /// Issues the generated frame `trace` as frame `next_seq`. The
+    /// resilience layer runs first — the injected event schedule,
+    /// liveness probes (with node rejoin), and the SLO hysteresis — then
+    /// the frame takes one of two paths: the offload pipeline (game
+    /// logic, interception, serialization, LZ4, uplink, Eq. 4 dispatch,
+    /// state replication to every live device), or the local-render
+    /// fallback. Either way the frame stays pending until it is retired.
+    fn issue_trace(
+        &mut self,
+        start: SimTime,
+        trace: &tracegen::FrameTrace,
+    ) -> Result<(), GBoosterError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let trace = self.gen.next_frame(self.dt_est);
         // This frame's trace context, carried (conceptually) in every
         // datagram the frame produces on the wire.
         let ctx = TraceContext::new(self.session_id, seq, 1);
@@ -746,7 +766,7 @@ impl OffloadEngine {
             self.engage_fallback(start, "pool_empty");
         }
         if self.fallback {
-            return self.issue_local_frame(seq, ctx, start, &trace);
+            return self.issue_local_frame(seq, ctx, start, trace);
         }
         let stall = if self.faults.dispatch_stall_at_frame == Some(seq) {
             INJECTED_STALL
@@ -933,19 +953,30 @@ impl OffloadEngine {
         Ok(())
     }
 
-    /// Decodes a forwarded wire frame — the frame's only decode — and
-    /// applies its state-mutating commands to the phone-side reference
-    /// state (draws never touch replicated state). Every live replica
-    /// then applies the returned commands: under UDP multicast they all
-    /// receive the same bytes and would hold the same dictionary.
+    /// Decodes a forwarded wire frame — the frame's only decode — into a
+    /// list from the free list, and applies its state-mutating commands
+    /// to the phone-side reference state (draws never touch replicated
+    /// state). Every live replica then applies the returned commands:
+    /// under UDP multicast they all receive the same bytes and would hold
+    /// the same dictionary.
     fn reference_ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
-        let cmds = self.reference_rx.receive(wire)?;
+        let mut cmds = self.free_lists.pop().unwrap_or_default();
+        self.reference_rx.receive_into(wire, &mut cmds)?;
         for cmd in &cmds {
             if cmd.is_state_mutating() {
                 self.reference_ctx.apply(cmd)?;
             }
         }
         Ok(cmds)
+    }
+
+    /// Returns a frame's command list to the free list, cleared, unless
+    /// it holds no allocation or one larger than [`recycle`] keeps.
+    fn release_commands(&mut self, mut commands: Vec<GlCommand>) {
+        recycle(&mut commands);
+        if commands.capacity() > 0 {
+            self.free_lists.push(commands);
+        }
     }
 
     /// Engages the local-render fallback: subsequent frames render on
@@ -998,7 +1029,7 @@ impl OffloadEngine {
         seq: u64,
         ctx: TraceContext,
         start: SimTime,
-        trace: &gbooster_workload::tracegen::FrameTrace,
+        trace: &tracegen::FrameTrace,
     ) -> Result<(), GBoosterError> {
         let cpu_secs = trace.cpu_gcycles / self.cpu_clock_ghz;
         let (app_secs, app_done, up) = if self.dispatcher.alive_nodes() > 0 {
@@ -1019,6 +1050,7 @@ impl OffloadEngine {
                     rt.apply_frame(&cmds, false)?;
                 }
             }
+            self.release_commands(cmds);
             (app_secs, app_done, up)
         } else {
             // Radio dark: the sender cache is frozen (nothing is
@@ -1310,7 +1342,8 @@ impl OffloadEngine {
         }
         self.c_clamped.add(outcome.clamped as u64);
 
-        self.finish_presentation(&p, root, shown, p.app_secs + decode_secs);
+        let busy_secs = p.app_secs + decode_secs;
+        self.finish_presentation(p, root, shown, busy_secs);
     }
 
     /// Presents one phone-rendered fallback frame. The span tree carries
@@ -1344,14 +1377,16 @@ impl OffloadEngine {
         self.total_hist
             .record_duration_tagged(shown - p.start, p.seq);
         self.c_frames_local.inc();
-        self.finish_presentation(&p, root, shown, p.app_secs);
+        let busy_secs = p.app_secs;
+        self.finish_presentation(p, root, shown, busy_secs);
     }
 
     /// The tail both presentation paths share once the frame's span
     /// tree is built; `busy_secs` is the phone CPU time the frame cost.
+    /// The frame's command list goes back to the free list.
     fn finish_presentation(
         &mut self,
-        p: &PendingFrame,
+        p: PendingFrame,
         root: SpanNode,
         shown: SimTime,
         busy_secs: f64,
@@ -1372,6 +1407,7 @@ impl OffloadEngine {
         }
         self.last_shown = self.last_shown.max(shown);
         self.sample_ops(shown, shown - p.start);
+        self.release_commands(p.commands);
     }
 
     /// Feeds the live-ops layer at one presentation: windowed samples
@@ -1589,6 +1625,7 @@ fn run_offloaded(
     // then drain the frames still in flight.
     let mut engine = OffloadEngine {
         gen,
+        trace: tracegen::FrameTrace::default(),
         forwarder,
         runtimes,
         dispatcher,
@@ -1662,6 +1699,7 @@ fn run_offloaded(
         wakes_base: 0,
         pending: Vec::new(),
         arrived: ReorderBuffer::new(),
+        free_lists: Vec::new(),
         next_seq: 0,
         app_free: first_up.delivered_at,
         decode_free: SimTime::ZERO,

@@ -777,6 +777,8 @@ pub fn command_category(cmd: &GlCommand) -> &'static str {
 pub struct DeferredResolver {
     /// Held `VertexAttribPointer` commands by attribute index.
     held: HashMap<u32, GlCommand>,
+    /// The held indices in release order, rebuilt for each draw.
+    release_order: Vec<u32>,
     /// Shadow copy of element-array buffers, to size `DrawElements`.
     element_buffers: HashMap<u32, Arc<Vec<u8>>>,
     bound_element: BufferId,
@@ -882,11 +884,12 @@ impl DeferredResolver {
         if self.held.is_empty() {
             return Ok(());
         }
-        let mut indices: Vec<u32> = self.held.keys().copied().collect();
-        indices.sort_unstable();
-        out.reserve(indices.len());
-        for i in indices {
-            let cmd = self.held.remove(&i).expect("key just listed");
+        self.release_order.clear();
+        self.release_order.extend(self.held.keys());
+        self.release_order.sort_unstable();
+        out.reserve(self.release_order.len());
+        for i in &self.release_order {
+            let cmd = self.held.remove(i).expect("key just listed");
             let GlCommand::VertexAttribPointer {
                 index,
                 size,

@@ -33,7 +33,7 @@ use crate::touch::TouchGenerator;
 const SCENE_TEXTURE_SIDE: u32 = 128;
 
 /// One generated frame: the commands plus simulation hints.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FrameTrace {
     /// The OpenGL ES commands of this frame, ending with `SwapBuffers`.
     pub commands: Vec<GlCommand>,
@@ -259,6 +259,20 @@ impl TraceGenerator {
     ///
     /// Panics if `dt_secs` is not positive and finite.
     pub fn next_frame(&mut self, dt_secs: f64) -> FrameTrace {
+        let mut frame = FrameTrace::default();
+        self.next_frame_into(dt_secs, &mut frame);
+        frame
+    }
+
+    /// [`Self::next_frame`] into `frame`. Its command list is cleared and
+    /// reserved to the frame's exact length, so a caller that keeps
+    /// `frame` from one frame to the next allocates no list once it has
+    /// held the longest frame.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::next_frame`].
+    pub fn next_frame_into(&mut self, dt_secs: f64, frame: &mut FrameTrace) {
         assert!(
             dt_secs.is_finite() && dt_secs > 0.0,
             "frame window must be positive"
@@ -288,14 +302,36 @@ impl TraceGenerator {
                 .rng
                 .gen_bool((self.profile.scene_change_prob * burst_boost).min(1.0));
 
-        let mut commands = Vec::with_capacity(self.profile.draws_per_frame as usize * 4 + 8);
+        let churn = !scene_change
+            && self.profile.texture_churn_bytes > 0
+            && self.frame_index.is_multiple_of(10);
+        // The frame's length, reserved once the uploads are known: the
+        // program, the clear and the swap; the uploads; four commands per
+        // draw, and a buffer bind on each of the three draws in four that
+        // do not read client memory.
+        let uploads = if scene_change {
+            // Two textures of three commands each, each retiring the
+            // oldest texture once the set outgrows `texture_count`.
+            let texture_count = self.profile.texture_count as usize;
+            6 + (self.scene_textures.len() + 1)
+                .saturating_sub(texture_count)
+                .min(2)
+        } else if churn && !self.scene_textures.is_empty() {
+            2
+        } else {
+            0
+        };
+        let draws = self.profile.draws_per_frame as usize;
+        let commands = &mut frame.commands;
+        commands.clear();
+        commands.reserve_exact(3 + uploads + 4 * draws + (draws - draws / 4));
         commands.push(GlCommand::UseProgram(Self::PROGRAM));
 
         if scene_change {
             self.frames_since_scene_change = 0;
             // Stream in a couple of new textures and retire old ones.
             for _ in 0..2 {
-                let id = self.alloc_texture(&mut commands);
+                let id = self.alloc_texture(commands);
                 if self.scene_textures.len() > self.profile.texture_count as usize {
                     let old = self.scene_textures.remove(0);
                     commands.push(GlCommand::DeleteTexture(old));
@@ -308,7 +344,7 @@ impl TraceGenerator {
                     *v = self.rng.gen_range(-1.0..1.0);
                 }
             }
-        } else if self.profile.texture_churn_bytes > 0 && self.frame_index.is_multiple_of(10) {
+        } else if churn {
             // Background streaming (mip updates, atlas churn).
             let side = 32u32;
             let phase: u8 = self.rng.gen();
@@ -396,19 +432,16 @@ impl TraceGenerator {
             (self.profile.changed_pixel_ratio * motion_scale * self.rng.gen_range(0.8..1.2))
                 .min(1.0)
         };
-        FrameTrace {
-            commands,
-            effective_fill: self
-                .profile
-                .effective_fill(self.width, self.height, self.intensity),
-            shaded_pixels: self.profile.shaded_pixels(self.width, self.height),
-            changed_pixel_ratio: changed,
-            cpu_gcycles: self.profile.cpu_gcycles_per_frame
-                * self.rng.gen_range(0.9..1.1)
-                * self.intensity.sqrt(),
-            touches,
-            scene_change,
-        }
+        frame.effective_fill = self
+            .profile
+            .effective_fill(self.width, self.height, self.intensity);
+        frame.shaded_pixels = self.profile.shaded_pixels(self.width, self.height);
+        frame.changed_pixel_ratio = changed;
+        frame.cpu_gcycles = self.profile.cpu_gcycles_per_frame
+            * self.rng.gen_range(0.9..1.1)
+            * self.intensity.sqrt();
+        frame.touches = touches;
+        frame.scene_change = scene_change;
     }
 }
 
@@ -537,6 +570,37 @@ mod tests {
             }
         }
         assert!(saw_change, "no scene change in 2000 frames");
+    }
+
+    #[test]
+    fn every_frame_fits_its_reservation() {
+        // Scene changes (retiring one texture, then two) and churn
+        // uploads change a frame's length; a fresh list must hold the
+        // frame without growing, and a reused one grows only to the
+        // longest frame so far.
+        let mut fresh = generator(Genre::Action);
+        let mut reusing = generator(Genre::Action);
+        fresh.setup_trace();
+        reusing.setup_trace();
+        let mut reused = FrameTrace::default();
+        let (mut longest, mut scene_changes, mut churns) = (0, 0, 0);
+        for _ in 0..2000 {
+            let frame = fresh.next_frame(1.0 / 30.0);
+            assert_eq!(frame.commands.capacity(), frame.commands.len());
+            reusing.next_frame_into(1.0 / 30.0, &mut reused);
+            assert_eq!(reused.commands, frame.commands);
+            longest = longest.max(frame.commands.len());
+            assert_eq!(reused.commands.capacity(), longest);
+            scene_changes += usize::from(frame.scene_change);
+            churns += usize::from(
+                frame
+                    .commands
+                    .iter()
+                    .any(|c| matches!(c, GlCommand::TexSubImage2D { .. })),
+            );
+        }
+        assert!(scene_changes >= 2, "{scene_changes} scene changes");
+        assert!(churns > 0, "no churn upload");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use gbooster::codec::jpeg::{self, JpegError};
-use gbooster::codec::lru::{content_key, CommandCache};
+use gbooster::codec::lru::{content_key, CommandCache, Lru};
 use gbooster::codec::lz4;
 use gbooster::codec::turbo::{TurboDecoder, TurboEncoder, TurboError};
 use gbooster::core::forward::{ServiceReceiver, CACHE_CAPACITY, SCRATCH_RETAIN_MAX};
@@ -385,13 +385,29 @@ proptest! {
     ) {
         let mut tx = CommandCache::new(capacity);
         let mut rx = CommandCache::new(capacity);
+        // The same rule over other entries: a sender that keeps only
+        // each message's length, and a receiver that keeps what it
+        // decoded from the bytes.
+        let mut tx_len: Lru<usize> = Lru::new(capacity);
+        let mut rx_decoded: Lru<String> = Lru::new(capacity);
+        let decode = |msg: &[u8]| String::from_utf8_lossy(msg).into_owned();
         for msg in &stream {
-            match tx.offer_ref(msg) {
-                Some(key) => prop_assert_eq!(rx.accept_ref(key), Some(msg.as_slice())),
-                None => rx.accept_full(msg),
+            let offered = tx.offer_ref(msg);
+            prop_assert_eq!(tx_len.offer_with(msg, || msg.len()), offered);
+            match offered {
+                Some(key) => {
+                    prop_assert_eq!(rx.accept_ref(key), Some(msg.as_slice()));
+                    prop_assert_eq!(rx_decoded.get(key), Some(&decode(msg)));
+                }
+                None => {
+                    rx.accept_full(msg);
+                    rx_decoded.accept_full_with(msg, || decode(msg));
+                }
             }
         }
         prop_assert_eq!(tx.len(), rx.len());
+        prop_assert_eq!(tx_len.len(), rx_decoded.len());
+        prop_assert_eq!(tx_len.values().sum::<usize>(), tx.resident_bytes());
     }
 
     #[test]
