@@ -54,10 +54,9 @@ use rand::Rng;
 
 use crate::config::{MAX_LOSS_SCALE, MAX_RENDER_SIDE};
 use crate::error::GBoosterError;
-use crate::forward::CommandForwarder;
+use crate::forward::{CommandForwarder, Reference};
 use crate::rebalance::{assign_destinations, RebalancePolicy, Rebalancer};
 use crate::scheduler::{Dispatcher, ReorderBuffer, ServiceNode};
-use crate::service::ServiceRuntime;
 use crate::transport::{fabric_link_secs, fabric_migration_secs};
 
 /// Frames of steady-state workload calibrated per title (cycled).
@@ -710,21 +709,22 @@ fn calibrate(title: &GameTitle, resolution: (u32, u32), seed: u64) -> TitleModel
     let calib_seed = derived(seed, &format!("fabric-calib-{}", title.id)).gen::<u64>();
     let mut gen = TraceGenerator::new(title.profile(), title.intensity, w, h, calib_seed);
     let mut fw = CommandForwarder::new();
-    // A real replica rides along with the calibration: decoding the
-    // forwarded wires into a service runtime yields the title's warm
-    // GL-state snapshot — the payload a live migration ships.
-    let mut rt = ServiceRuntime::new(DeviceSpec::nvidia_shield());
+    // The session engine's phone-side reference rides along with the
+    // calibration: its state after the forwarded wires is the title's
+    // warm GL-state snapshot — the payload a live migration ships. A
+    // snapshot's wire cost reads only objects and attrib slots, which
+    // draws never change, so no draw executes.
+    let mut reference = Reference::default();
+    let mut cmds = Vec::new();
     let setup = gen.setup_trace();
     let setup_fwd = fw
         .forward_frame(&setup.commands, gen.client_memory())
         .expect("calibration setup stream must forward");
     let setup_wire = setup_fwd.wire.len() as u64;
-    let setup_cmds = rt
-        .decode(&setup_fwd.wire)
-        .expect("calibration setup stream must decode");
-    rt.apply_frame(&setup_cmds, true)
-        .expect("calibration setup stream must apply");
-    let setup_snapshot = rt.context().snapshot();
+    reference
+        .ingest(&setup_fwd.wire, &mut cmds)
+        .expect("calibration setup stream must replicate");
+    let setup_snapshot = reference.context().snapshot();
     let mut model = TitleModel {
         setup_wire,
         frame_wire: Vec::with_capacity(CALIB_FRAMES),
@@ -740,9 +740,9 @@ fn calibrate(title: &GameTitle, resolution: (u32, u32), seed: u64) -> TitleModel
         let fwd = fw
             .forward_frame(&frame.commands, gen.client_memory())
             .expect("calibration frame must forward");
-        let cmds = rt.decode(&fwd.wire).expect("calibration frame must decode");
-        rt.apply_frame(&cmds, true)
-            .expect("calibration frame must apply");
+        reference
+            .ingest(&fwd.wire, &mut cmds)
+            .expect("calibration frame must replicate");
         let changed = (frame.changed_pixel_ratio * frame_px as f64).round() as u64;
         model.frame_wire.push(fwd.wire.len() as u64);
         model.frame_fill.push(frame.effective_fill);
@@ -753,7 +753,7 @@ fn calibrate(title: &GameTitle, resolution: (u32, u32), seed: u64) -> TitleModel
             .down_bytes
             .push(gbooster_codec::turbo::model_encoded_bytes(changed) as u64);
     }
-    let warm = rt.context().snapshot();
+    let warm = reference.context().snapshot();
     model.snap_full = warm.wire_bytes();
     model.snap_delta = warm.delta_wire_bytes(&setup_snapshot);
     model
@@ -927,8 +927,8 @@ struct Mig {
 #[derive(Clone, Copy, Debug)]
 struct PendingFrame {
     arrived: SimTime,
-    start: Option<SimTime>,
-    finish: Option<SimTime>,
+    /// The node booking's start and finish, once dispatched.
+    booking: Option<(SimTime, SimTime)>,
     encode: SimDuration,
     down_end: Option<SimTime>,
     /// Rendered on the phone GPU (fallback / pool loss) — the span
@@ -940,8 +940,7 @@ impl PendingFrame {
     fn new(arrived: SimTime, encode: SimDuration, local: bool) -> Self {
         PendingFrame {
             arrived,
-            start: None,
-            finish: None,
+            booking: None,
             encode,
             down_end: None,
             local,
@@ -1030,12 +1029,8 @@ impl FabricObserver {
         let latency_us = (shown - issued).as_micros();
         self.sampler
             .offer(t as u32, seq, tid, latency_us, verdict, |reason| {
-                let frame = KeptFrame {
-                    waypoints,
-                    issued,
-                    shown,
-                };
-                (frame.line_len(t as u32, tid, seq, reason), frame)
+                let frame = KeptFrame { waypoints, issued };
+                (frame.line_len(shown, t as u32, tid, seq, reason), frame)
             })
             .map(|_| tid)
     }
@@ -1084,12 +1079,12 @@ impl FabricObserver {
 }
 
 /// What the tail sampler holds for a kept frame until the run ends:
-/// the waypoints its span tree is built from.
+/// the waypoints its span tree is built from. The frame was shown its
+/// [`KeptTrace::latency_us`] after `issued`.
 #[derive(Clone, Copy, Debug)]
 struct KeptFrame {
     waypoints: Option<PendingFrame>,
     issued: SimTime,
-    shown: SimTime,
 }
 
 impl KeptFrame {
@@ -1099,13 +1094,13 @@ impl KeptFrame {
     /// waypoints. The one statement of the shape: the verdict measures
     /// a kept frame's line with it ([`SpanLen`]), and `finish` builds
     /// the retained frames' trees with it ([`SpanNode`]).
-    fn tree<S: SpanTree>(&self) -> S {
-        let (issued, shown) = (self.issued, self.shown);
+    fn tree<S: SpanTree>(&self, shown: SimTime) -> S {
+        let issued = self.issued;
         let mut root = S::new(names::stage::FRAME, issued, shown);
         match self.waypoints {
             Some(p) if !p.local => {
                 root.stage(names::stage::UPLINK, issued, p.arrived);
-                if let (Some(start), Some(finish)) = (p.start, p.finish) {
+                if let Some((start, finish)) = p.booking {
                     root.stage(names::stage::DISPATCH_WAIT, p.arrived, start);
                     let mut remote = S::new(names::remote::SUBTREE, start, finish);
                     let enc_start = finish - p.encode;
@@ -1126,18 +1121,26 @@ impl KeptFrame {
     }
 
     /// The exact length of the line [`write_line`] renders for this
-    /// frame when it is kept for `reason`.
-    fn line_len(&self, tenant: u32, trace_id: u64, seq: u64, reason: KeepReason) -> u64 {
-        let span = self.tree::<SpanLen>().bytes();
+    /// frame, shown at `shown`, when it is kept for `reason`.
+    fn line_len(
+        &self,
+        shown: SimTime,
+        tenant: u32,
+        trace_id: u64,
+        seq: u64,
+        reason: KeepReason,
+    ) -> u64 {
+        let span = self.tree::<SpanLen>(shown).bytes();
         sample::line_len(tenant, trace_id, seq, reason, span)
     }
 }
 
 /// Renders a retained frame's JSONL line.
 fn write_line(e: &KeptTrace<KeptFrame>, out: &mut String) {
+    let shown = e.line.issued + SimDuration::from_micros(e.latency_us);
     let frame = FrameTrace {
         seq: e.seq,
-        root: e.line.tree::<SpanNode>(),
+        root: e.line.tree::<SpanNode>(shown),
     };
     sample::serialize_into(out, e.tenant, e.trace_id, e.reason, &frame);
 }
@@ -1242,8 +1245,8 @@ fn calibrate_titles(cfg: &FabricConfig) -> (Vec<TitleModel>, Vec<usize>) {
             models.len() - 1
         });
     }
-    // Built after calibration, so it is not live at the calibration
-    // replicas' peak heap.
+    // Built after calibration, so it is not live at calibration's peak
+    // heap.
     let model_of = cfg.tenants.iter().map(|t| index[t.title.id]).collect();
     (models, model_of)
 }
@@ -1702,8 +1705,7 @@ impl<'a> Fabric<'a> {
                 // Waypoints for the span tree; a redispatch overwrites
                 // with the booking that actually completes.
                 if let Some(e) = o.waypoints(t, job.seq) {
-                    e.start = Some(dec.start);
-                    e.finish = Some(dec.finish);
+                    e.booking = Some((dec.start, dec.finish));
                 }
             }
             self.on_node[node] = Some((t as u32, job, dec.start));
@@ -2240,6 +2242,75 @@ mod tests {
         vec![DeviceSpec::nvidia_shield(), DeviceSpec::minix_neo_u1()]
     }
 
+    /// The oracle `calibrate` must match: the model a service runtime
+    /// builds when it decodes every forwarded frame itself and applies
+    /// it with its draws.
+    fn calibrate_on_a_runtime(title: &GameTitle, (w, h): (u32, u32), seed: u64) -> TitleModel {
+        let calib_seed = derived(seed, &format!("fabric-calib-{}", title.id)).gen::<u64>();
+        let mut gen = TraceGenerator::new(title.profile(), title.intensity, w, h, calib_seed);
+        let mut fw = CommandForwarder::new();
+        let mut rt = crate::service::ServiceRuntime::new(DeviceSpec::nvidia_shield());
+        let setup = gen.setup_trace();
+        let setup_fwd = fw
+            .forward_frame(&setup.commands, gen.client_memory())
+            .unwrap();
+        let cmds = rt.decode(&setup_fwd.wire).unwrap();
+        rt.apply_frame(&cmds, true).unwrap();
+        let setup_snapshot = rt.context().snapshot();
+        let frame_px = w as u64 * h as u64;
+        let mut model = TitleModel {
+            setup_wire: setup_fwd.wire.len() as u64,
+            frame_wire: Vec::new(),
+            frame_fill: Vec::new(),
+            encode_us: Vec::new(),
+            down_bytes: Vec::new(),
+            snap_full: 0,
+            snap_delta: 0,
+        };
+        for _ in 0..CALIB_FRAMES {
+            let frame = gen.next_frame(1.0 / 30.0);
+            let fwd = fw
+                .forward_frame(&frame.commands, gen.client_memory())
+                .unwrap();
+            let cmds = rt.decode(&fwd.wire).unwrap();
+            let stats = rt.apply_frame(&cmds, true).unwrap();
+            assert!(stats.draws_executed > 0, "the oracle must execute draws");
+            let changed = (frame.changed_pixel_ratio * frame_px as f64).round() as u64;
+            model.frame_wire.push(fwd.wire.len() as u64);
+            model.frame_fill.push(frame.effective_fill);
+            let encode_secs = gbooster_codec::turbo::model_encode_secs(frame_px, changed);
+            model.encode_us.push((encode_secs * 1e6) as u64);
+            let down = gbooster_codec::turbo::model_encoded_bytes(changed);
+            model.down_bytes.push(down as u64);
+        }
+        let warm = rt.context().snapshot();
+        model.snap_full = warm.wire_bytes();
+        model.snap_delta = warm.delta_wire_bytes(&setup_snapshot);
+        model
+    }
+
+    #[test]
+    fn calibration_matches_a_runtime_that_executes_draws() {
+        let cfg = FabricConfig::uniform(4, small_pool(), 20_170_605);
+        for tenant in &cfg.tenants {
+            let title = &tenant.title;
+            let got = calibrate(title, cfg.resolution, cfg.seed);
+            let want = calibrate_on_a_runtime(title, cfg.resolution, cfg.seed);
+            let id = title.id;
+            assert_eq!(got.setup_wire, want.setup_wire, "{id} setup_wire");
+            assert_eq!(got.frame_wire, want.frame_wire, "{id} frame_wire");
+            assert_eq!(got.frame_fill, want.frame_fill, "{id} frame_fill");
+            assert_eq!(got.encode_us, want.encode_us, "{id} encode_us");
+            assert_eq!(got.down_bytes, want.down_bytes, "{id} down_bytes");
+            assert_eq!(got.snap_full, want.snap_full, "{id} snap_full");
+            assert_eq!(got.snap_delta, want.snap_delta, "{id} snap_delta");
+            assert!(
+                got.snap_delta < got.snap_full,
+                "{id}: the setup segment is resident"
+            );
+        }
+    }
+
     #[test]
     fn admission_never_books_past_the_cap() {
         let cfg = FabricConfig::uniform(200, small_pool(), 7);
@@ -2431,8 +2502,7 @@ mod tests {
         // before it starts (10), so its span is clamped.
         let full = PendingFrame {
             arrived: t(9),
-            start: Some(t(10)),
-            finish: Some(t(99)),
+            booking: Some((t(10), t(99))),
             encode: SimDuration::from_micros(90),
             down_end: Some(t(100)),
             local: false,
@@ -2444,8 +2514,7 @@ mod tests {
             }),
             None,
             Some(PendingFrame {
-                start: None,
-                finish: None,
+                booking: None,
                 down_end: None,
                 ..full
             }),
@@ -2464,11 +2533,7 @@ mod tests {
         let mut line = String::new();
         for waypoints in shapes {
             for (issued, shown) in [(t(0), t(9)), (t(0), t(10)), (t(10), t(9_999_999_999))] {
-                let frame = KeptFrame {
-                    waypoints,
-                    issued,
-                    shown,
-                };
+                let frame = KeptFrame { waypoints, issued };
                 for reason in reasons {
                     for (tenant, trace_id, seq) in
                         [(0, 0, 0), (9, 9, 9), (10, 10, 10), (u32::MAX, u64::MAX, 99)]
@@ -2478,8 +2543,8 @@ mod tests {
                             trace_id,
                             seq,
                             reason,
-                            latency_us: 0,
-                            bytes: frame.line_len(tenant, trace_id, seq, reason),
+                            latency_us: (shown - issued).as_micros(),
+                            bytes: frame.line_len(shown, tenant, trace_id, seq, reason),
                             line: frame,
                         };
                         line.clear();

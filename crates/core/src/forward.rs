@@ -38,6 +38,7 @@ use gbooster_gles::command::{ClientMemory, GlCommand};
 use gbooster_gles::serialize::{
     command_category, decode_command, encode_command, DeferredResolver,
 };
+use gbooster_gles::state::GlContext;
 use gbooster_telemetry::{names, AttributionLog, Counter, Registry, UplinkFrameEntry};
 
 use crate::error::GBoosterError;
@@ -317,10 +318,11 @@ impl CommandForwarder {
 
 /// The service-device receiver: the inverse pipeline.
 ///
-/// `Clone` supports node rejoin: every synchronized receiver holds the
-/// same deterministic cache state, so a rejoining device is brought
-/// current by copying a live peer's receiver (or the sender-side mirror)
-/// instead of replaying the token history it missed.
+/// Every receiver fed the same stream holds the same deterministic cache
+/// state, so a clone decodes the rest of the stream exactly as its source
+/// would. The engines keep one receiver, the phone-side reference's: a
+/// rejoining replica is brought current with a GL-state snapshot, and no
+/// receiver travels.
 #[derive(Clone, Debug)]
 pub struct ServiceReceiver {
     /// Each cached command, decoded once.
@@ -473,6 +475,46 @@ impl ServiceReceiver {
     /// Scratch capacity, in bytes, this receiver keeps between frames.
     pub fn retained_scratch_bytes(&self) -> usize {
         self.tokens.capacity() + self.commands.capacity() * std::mem::size_of::<GlCommand>()
+    }
+}
+
+/// The phone-side reference of the forwarded stream: the replication
+/// rule of Section VI-B, stated once. Multicast hands every service
+/// device the same bytes, so the one receiver here decodes each frame,
+/// the frame's state-mutating commands apply to the reference state, and
+/// the caller hands the decoded list to its replicas (only the dispatch
+/// target executes draws). A rejoin resync, a migration's snapshot size
+/// and the fabric's calibration all read the reference state.
+#[derive(Debug, Default)]
+pub(crate) struct Reference {
+    rx: ServiceReceiver,
+    ctx: GlContext,
+}
+
+impl Reference {
+    /// Decodes `wire` into `out`, which is cleared first, and applies
+    /// its state-mutating commands to the reference state.
+    pub(crate) fn ingest(
+        &mut self,
+        wire: &[u8],
+        out: &mut Vec<GlCommand>,
+    ) -> Result<(), GBoosterError> {
+        self.rx.receive_into(wire, out)?;
+        self.apply_state(out)
+    }
+
+    /// Applies the state-mutating commands of `commands`; draws never
+    /// touch replicated state.
+    pub(crate) fn apply_state(&mut self, commands: &[GlCommand]) -> Result<(), GBoosterError> {
+        for cmd in commands.iter().filter(|c| c.is_state_mutating()) {
+            self.ctx.apply(cmd)?;
+        }
+        Ok(())
+    }
+
+    /// The reference GL state.
+    pub(crate) fn context(&self) -> &GlContext {
+        &self.ctx
     }
 }
 

@@ -4,17 +4,18 @@
 //! to its local GPU for execution. … When the computation is completed,
 //! the rendered images are transmitted back to the user device."
 //!
-//! [`ServiceRuntime`] couples a [`ServiceReceiver`] (wire → commands), a
-//! [`GlContext`] replica (state consistency, Section VI-B), a GPU cost
-//! model, and the Turbo encode-cost model. The actively-cooled service
-//! GPU never thermally throttles — the paper's explanation for GBooster's
-//! improved FPS *stability*.
+//! [`ServiceRuntime`] couples a [`GlContext`] replica (state consistency,
+//! Section VI-B), a GPU cost model, and the Turbo encode-cost model. The
+//! actively-cooled service GPU never thermally throttles — the paper's
+//! explanation for GBooster's improved FPS *stability*.
 //!
-//! A standalone runtime decodes its own wire frames
-//! ([`ServiceRuntime::decode`]). The session engine's replicas are
-//! apply-only instead: multicast hands every replica the same bytes, so
-//! the engine decodes each frame once and passes the commands to
-//! [`ServiceRuntime::apply_frame`] on every live replica.
+//! A runtime applies the commands it is handed
+//! ([`ServiceRuntime::apply_frame`]). Multicast hands every replica the
+//! same bytes, so the engines decode each forwarded frame once, on the
+//! phone-side reference, and the session engine applies that one list
+//! on every live replica: its replicas hold no receiver. A standalone
+//! runtime that decodes its own wire frames ([`ServiceRuntime::decode`])
+//! builds a [`ServiceReceiver`] on its first call.
 
 use gbooster_gles::command::GlCommand;
 use gbooster_gles::state::GlContext;
@@ -45,56 +46,14 @@ pub struct ReplayStats {
     pub commands_rejected: u32,
 }
 
-/// Per-session command-stream validation at the service boundary.
-///
-/// Once streams from many apps share one node (the multi-tenant
-/// fabric), a malformed or hostile stream must not be able to corrupt
-/// the shared replica or abort every co-tenant's session: a reference
-/// that writes outside its object's storage is *rejected* — skipped and
-/// counted under [`names::service::REJECTED_COMMANDS`] — instead of
-/// propagating a session-fatal state-machine error. The check mirrors
-/// the bounds the GL state machine itself enforces, evaluated *before*
-/// apply so a bad command is dropped without side effects.
-fn command_in_bounds(ctx: &GlContext, cmd: &GlCommand) -> bool {
-    match cmd {
-        GlCommand::BufferSubData {
-            target,
-            offset,
-            data,
-        } => {
-            let id = ctx.buffer_binding(*target);
-            match ctx.buffer(id) {
-                Ok(buf) => (*offset as usize).saturating_add(data.len()) <= buf.data.len(),
-                Err(_) => false,
-            }
-        }
-        GlCommand::TexSubImage2D {
-            x,
-            y,
-            width,
-            height,
-            ..
-        } => {
-            let Some(id) = ctx.texture_binding() else {
-                return false;
-            };
-            match ctx.texture(id) {
-                Ok(tex) => {
-                    x.saturating_add(*width) <= tex.width && y.saturating_add(*height) <= tex.height
-                }
-                Err(_) => false,
-            }
-        }
-        _ => true,
-    }
-}
-
 /// One service device's GBooster runtime.
 #[derive(Debug)]
 pub struct ServiceRuntime {
     gpu: GpuModel,
     context: GlContext,
-    receiver: ServiceReceiver,
+    /// Built by the first [`Self::decode`]: an apply-only replica holds
+    /// none.
+    receiver: Option<ServiceReceiver>,
     frames_rendered: u64,
     telemetry: Option<(Counter, Histogram)>,
     rejected: Option<Counter>,
@@ -111,7 +70,7 @@ impl ServiceRuntime {
         ServiceRuntime {
             gpu: GpuModel::new(spec.gpu),
             context: GlContext::new(),
-            receiver: ServiceReceiver::new(),
+            receiver: None,
             frames_rendered: 0,
             telemetry: None,
             rejected: None,
@@ -172,13 +131,17 @@ impl ServiceRuntime {
         self.frames_rendered
     }
 
-    /// Decodes a wire frame into commands (does not apply them).
+    /// Decodes a wire frame into commands (does not apply them). The
+    /// first call builds this device's receiver, so it must see the
+    /// stream from its first frame.
     ///
     /// # Errors
     ///
     /// Propagates receiver decode errors.
     pub fn decode(&mut self, wire: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
-        self.receiver.receive(wire)
+        self.receiver
+            .get_or_insert_with(ServiceReceiver::new)
+            .receive(wire)
     }
 
     /// Applies one frame of commands to this device's context replica.
@@ -213,7 +176,7 @@ impl ServiceRuntime {
             // (BufferData before BufferSubData), so each command is
             // checked against the replica exactly as it stands when the
             // command would run.
-            if validate && !command_in_bounds(&self.context, cmd) {
+            if validate && self.context.check_write_bounds(cmd).is_err() {
                 stats.commands_rejected += 1;
                 continue;
             }
@@ -244,12 +207,15 @@ impl ServiceRuntime {
     }
 
     /// [`Self::apply_frame`] behind the per-session validation pass
-    /// (arXiv:2111.03065's service-boundary model): each command's
-    /// buffer/texture references are bounds-checked against the replica
-    /// *before* apply. Out-of-bounds commands are skipped and counted
-    /// into [`ReplayStats::commands_rejected`] (and the
-    /// [`names::service::REJECTED_COMMANDS`] counter when a registry is
-    /// attached) instead of failing the whole session — the replica
+    /// (arXiv:2111.03065's service-boundary model). Once streams from
+    /// many apps share one node, a malformed or hostile stream must not
+    /// corrupt the shared replica or end every co-tenant's session, so
+    /// each buffer/texture write is bounds-checked against the replica
+    /// *before* apply, by the check apply itself makes
+    /// ([`GlContext::check_write_bounds`]). Out-of-bounds commands are
+    /// skipped and counted into [`ReplayStats::commands_rejected`] (and
+    /// the [`names::service::REJECTED_COMMANDS`] counter when a registry
+    /// is attached) instead of failing the whole session — the replica
     /// never observes them, so its digest matches a stream that never
     /// contained them.
     ///
@@ -334,9 +300,10 @@ impl ServiceRuntime {
     /// the uplink. The bytes *not* shipped belong in
     /// `migrate.snapshot_bytes_saved`.
     ///
-    /// No receiver is installed: this is the resync of an apply-only
-    /// replica, whose caller decodes each frame once and hands it the
-    /// commands (the session engine's multicast replication).
+    /// The receiver, if [`Self::decode`] built one, is left as it is:
+    /// this is the resync of an apply-only replica, whose caller decodes
+    /// each frame once and hands it the commands (the session engine's
+    /// multicast replication).
     pub fn resync_with_resident(
         &mut self,
         snapshot: &gbooster_gles::state::StateSnapshot,
@@ -557,6 +524,90 @@ mod tests {
         let stats = rt.apply_frame_validated(&frame, false).unwrap();
         assert_eq!(stats.commands_rejected, 0);
         assert_eq!(stats.commands_applied, 4);
+    }
+
+    #[test]
+    fn an_apply_only_runtime_builds_no_receiver() {
+        // The engines decode each frame once and hand every replica the
+        // list: neither the dispatch target nor a replica needs a decoder.
+        let (frames, _) = forwarded_frames(5);
+        let mut reference = ServiceReceiver::new();
+        let mut target = ServiceRuntime::new(DeviceSpec::nvidia_shield());
+        let mut replica = ServiceRuntime::new(DeviceSpec::minix_neo_u1());
+        let mut standalone = ServiceRuntime::new(DeviceSpec::nvidia_shield());
+        assert!(standalone.receiver.is_none());
+        for wire in &frames {
+            let cmds = reference.receive(wire).unwrap();
+            target.apply_frame_validated(&cmds, true).unwrap();
+            replica.apply_frame(&cmds, false).unwrap();
+            // A runtime that decodes its own stream from the first frame
+            // still reads what the reference reads.
+            assert_eq!(standalone.decode(wire).unwrap(), cmds);
+        }
+        let snap = target.context().snapshot();
+        replica.resync_with_resident(&snap, &snap);
+        assert!(target.receiver.is_none() && replica.receiver.is_none());
+        assert!(standalone.receiver.is_some());
+    }
+
+    #[test]
+    fn overflow_is_an_error_at_the_validated_boundary() {
+        use gbooster_gles::types::{GlError, PixelFormat, TextureId, TextureTarget};
+        use std::sync::Arc;
+
+        let texture = [
+            GlCommand::GenTexture(TextureId(1)),
+            GlCommand::BindTexture {
+                target: TextureTarget::Texture2D,
+                texture: TextureId(1),
+            },
+            GlCommand::TexImage2D {
+                target: TextureTarget::Texture2D,
+                level: 0,
+                format: PixelFormat::Rgba8,
+                width: 4,
+                height: 4,
+                data: Arc::new(vec![0u8; 64]),
+            },
+        ];
+        let mut target = ServiceRuntime::new(DeviceSpec::nvidia_shield());
+        let mut replica = ServiceRuntime::new(DeviceSpec::minix_neo_u1());
+        target.apply_frame_validated(&texture, true).unwrap();
+        replica.apply_frame(&texture, false).unwrap();
+        let digest = target.state_digest();
+        let invalid_value = |r: Result<ReplayStats, GBoosterError>| {
+            matches!(r, Err(GBoosterError::Gl(GlError::InvalidValue(_))))
+        };
+
+        // 2^31 × 2^31 RGBA texels: a wrapping size would be 0 bytes and
+        // match the empty payload.
+        let huge = [GlCommand::TexImage2D {
+            target: TextureTarget::Texture2D,
+            level: 0,
+            format: PixelFormat::Rgba8,
+            width: 1 << 31,
+            height: 1 << 31,
+            data: Arc::new(Vec::new()),
+        }];
+        assert!(invalid_value(target.apply_frame_validated(&huge, true)));
+
+        // A rect whose x + width wraps past u32::MAX: the validated
+        // target rejects it, and a replica's plain apply refuses it.
+        let far = [GlCommand::TexSubImage2D {
+            target: TextureTarget::Texture2D,
+            level: 0,
+            x: u32::MAX,
+            y: 0,
+            width: 1,
+            height: 1,
+            format: PixelFormat::Rgba8,
+            data: Arc::new(vec![0u8; 4]),
+        }];
+        let stats = target.apply_frame_validated(&far, true).unwrap();
+        assert_eq!(stats.commands_rejected, 1);
+        assert!(invalid_value(replica.apply_frame(&far, false)));
+        assert_eq!(target.state_digest(), digest);
+        assert_eq!(replica.state_digest(), digest);
     }
 
     #[test]

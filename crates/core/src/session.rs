@@ -38,7 +38,7 @@ use crate::config::{
     ExecutionMode, FaultInjection, LinkPartition, NodeEvent, OffloadConfig, SessionConfig,
 };
 use crate::error::GBoosterError;
-use crate::forward::{recycle, CommandForwarder, ServiceReceiver};
+use crate::forward::{recycle, CommandForwarder, ForwardedFrame, Reference};
 use crate::health::{HealthEvent, HealthMonitor};
 use crate::metrics::{CpuLedger, ResponseTracker};
 use crate::ops::OpsRuntime;
@@ -652,21 +652,17 @@ struct OffloadEngine {
     node_events: Vec<NodeEvent>,
     next_event: usize,
     partitions: Vec<LinkPartition>,
-    /// Phone-side reference GL state: the state-mutating commands of
-    /// every forwarded wire frame apply here (and, with the radio fully
-    /// down, raw state commands apply directly), so a rejoining node can
-    /// be brought current with one snapshot transfer instead of a
-    /// history replay.
-    reference_ctx: GlContext,
+    /// The phone-side reference, the engine's only decoder: every
+    /// forwarded frame is decoded here once and its state-mutating
+    /// commands apply here (with the radio fully down, raw state
+    /// commands apply directly), so a rejoining node can be brought
+    /// current with one snapshot transfer instead of a history replay.
+    reference: Reference,
     /// The reference state right after the setup stream: the immutable
     /// segment every replica holds (and keeps across death — shared
     /// segments are content-addressed). Rejoin resyncs ship only the
     /// delta against this baseline.
     setup_snapshot: gbooster_gles::state::StateSnapshot,
-    /// Phone-side mirror of the sender's LRU dictionary: the engine's
-    /// only decoder. Every forwarded frame is decoded here once and the
-    /// commands are applied to the reference and every live replica.
-    reference_rx: ServiceReceiver,
     /// Frame-latency EWMA in ms (0 = no samples yet / reset on release).
     latency_ewma: f64,
     breach_streak: u32,
@@ -774,19 +770,8 @@ impl OffloadEngine {
             SimDuration::ZERO
         };
 
-        // Phone CPU: game logic + interception + serialization + LZ4.
-        let fwd = self
-            .forwarder
-            .forward_frame(&trace.commands, self.gen.client_memory())?;
-        let forward_secs = FORWARD_FIXED_SECS + fwd.raw_bytes as f64 / FORWARD_BYTES_PER_SEC;
-        let app_secs = trace.cpu_gcycles / self.cpu_clock_ghz + forward_secs;
-        let app_done = start + SimDuration::from_secs_f64(app_secs);
+        let (fwd, app_secs, app_done, up) = self.forward_and_send(start, trace)?;
         self.app_free = app_done;
-
-        // Uplink over the predictor-managed radios.
-        let textures_used = self.texture_count + if trace.scene_change { 2 } else { 0 };
-        self.transport.on_frame(trace.touches, textures_used);
-        let up = self.transport.send(fwd.wire.len(), app_done);
         self.transport.begin_frame_transfer(ctx);
 
         // Eq. 4 dispatch; replicate state to every live device and to the
@@ -801,21 +786,7 @@ impl OffloadEngine {
             encode,
             dispatch_at,
         );
-        let commands = self.reference_ingest_wire(&fwd.wire)?;
-        for (j, rt) in self.runtimes.iter_mut().enumerate() {
-            if !self.dispatcher.nodes()[j].alive() {
-                continue;
-            }
-            if j == decision.node {
-                // The dispatch target runs the per-session validation
-                // pass before touching shared replica state; a stream
-                // our own tracegen produced must never trip it.
-                let stats = rt.apply_frame_validated(&commands, true)?;
-                debug_assert_eq!(stats.commands_rejected, 0, "tracegen stream rejected");
-            } else {
-                rt.apply_frame(&commands, false)?;
-            }
-        }
+        let commands = self.replicate(&fwd.wire, Some(decision.node))?;
 
         // Phone-side span boundaries. The forwarding cost splits into its
         // sub-stages; the last one ends exactly at `app_done` so integer-
@@ -929,7 +900,7 @@ impl OffloadEngine {
     /// the node died is never replayed. No receiver travels: replicas
     /// apply the commands the reference decodes.
     fn rejoin_node(&mut self, node: usize, now: SimTime) -> Result<(), GBoosterError> {
-        let snap = self.reference_ctx.snapshot();
+        let snap = self.reference.context().snapshot();
         // The rejoiner still holds the title's immutable setup segment
         // (content-addressed; it survives the process), so only the
         // per-session delta reships — the single-destination fix that
@@ -942,7 +913,7 @@ impl OffloadEngine {
         debug_assert_eq!(billed, resync_bytes, "resync bill must match the delta");
         debug_assert_eq!(
             self.runtimes[node].state_digest(),
-            self.reference_ctx.digest(),
+            self.reference.context().digest(),
             "resynced node must match the reference state"
         );
         self.dispatcher
@@ -953,21 +924,53 @@ impl OffloadEngine {
         Ok(())
     }
 
-    /// Decodes a forwarded wire frame — the frame's only decode — into a
-    /// list from the free list, and applies its state-mutating commands
-    /// to the phone-side reference state (draws never touch replicated
-    /// state). Every live replica then applies the returned commands:
-    /// under UDP multicast they all receive the same bytes and would hold
-    /// the same dictionary.
-    fn reference_ingest_wire(&mut self, wire: &[u8]) -> Result<Vec<GlCommand>, GBoosterError> {
-        let mut cmds = self.free_lists.pop().unwrap_or_default();
-        self.reference_rx.receive_into(wire, &mut cmds)?;
-        for cmd in &cmds {
-            if cmd.is_state_mutating() {
-                self.reference_ctx.apply(cmd)?;
+    /// The phone CPU's part of a frame issued at `start` — game logic,
+    /// interception, serialization, LZ4 — and its uplink over the
+    /// predictor-managed radios. Returns the forwarded frame, the phone
+    /// CPU seconds, the instant they end, and the uplink transfer.
+    fn forward_and_send(
+        &mut self,
+        start: SimTime,
+        trace: &tracegen::FrameTrace,
+    ) -> Result<(ForwardedFrame, f64, SimTime, Transfer), GBoosterError> {
+        let fwd = self
+            .forwarder
+            .forward_frame(&trace.commands, self.gen.client_memory())?;
+        let forward_secs = FORWARD_FIXED_SECS + fwd.raw_bytes as f64 / FORWARD_BYTES_PER_SEC;
+        let app_secs = trace.cpu_gcycles / self.cpu_clock_ghz + forward_secs;
+        let app_done = start + SimDuration::from_secs_f64(app_secs);
+        let textures_used = self.texture_count + if trace.scene_change { 2 } else { 0 };
+        self.transport.on_frame(trace.touches, textures_used);
+        let up = self.transport.send(fwd.wire.len(), app_done);
+        Ok((fwd, app_secs, app_done, up))
+    }
+
+    /// Replicates one forwarded wire frame (Section VI-B): the reference
+    /// decodes it — the frame's only decode — into a list from the free
+    /// list, and every live replica applies that list, since under UDP
+    /// multicast they all receive the same bytes. Only `target`, the
+    /// dispatch target, validates the list and executes its draws.
+    fn replicate(
+        &mut self,
+        wire: &[u8],
+        target: Option<usize>,
+    ) -> Result<Vec<GlCommand>, GBoosterError> {
+        let mut commands = self.free_lists.pop().unwrap_or_default();
+        self.reference.ingest(wire, &mut commands)?;
+        for (j, rt) in self.runtimes.iter_mut().enumerate() {
+            if !self.dispatcher.nodes()[j].alive() {
+                continue;
+            }
+            if target == Some(j) {
+                // A stream our own tracegen produced must never trip the
+                // validation pass.
+                let stats = rt.apply_frame_validated(&commands, true)?;
+                debug_assert_eq!(stats.commands_rejected, 0, "tracegen stream rejected");
+            } else {
+                rt.apply_frame(&commands, false)?;
             }
         }
-        Ok(cmds)
+        Ok(commands)
     }
 
     /// Returns a frame's command list to the free list, cleared, unless
@@ -1031,25 +1034,11 @@ impl OffloadEngine {
         start: SimTime,
         trace: &tracegen::FrameTrace,
     ) -> Result<(), GBoosterError> {
-        let cpu_secs = trace.cpu_gcycles / self.cpu_clock_ghz;
         let (app_secs, app_done, up) = if self.dispatcher.alive_nodes() > 0 {
             // Live nodes keep replicating state so the eventual release
             // resumes offloading without a resync.
-            let fwd = self
-                .forwarder
-                .forward_frame(&trace.commands, self.gen.client_memory())?;
-            let forward_secs = FORWARD_FIXED_SECS + fwd.raw_bytes as f64 / FORWARD_BYTES_PER_SEC;
-            let app_secs = cpu_secs + forward_secs;
-            let app_done = start + SimDuration::from_secs_f64(app_secs);
-            let textures_used = self.texture_count + if trace.scene_change { 2 } else { 0 };
-            self.transport.on_frame(trace.touches, textures_used);
-            let up = self.transport.send(fwd.wire.len(), app_done);
-            let cmds = self.reference_ingest_wire(&fwd.wire)?;
-            for (j, rt) in self.runtimes.iter_mut().enumerate() {
-                if self.dispatcher.nodes()[j].alive() {
-                    rt.apply_frame(&cmds, false)?;
-                }
-            }
+            let (fwd, app_secs, app_done, up) = self.forward_and_send(start, trace)?;
+            let cmds = self.replicate(&fwd.wire, None)?;
             self.release_commands(cmds);
             (app_secs, app_done, up)
         } else {
@@ -1057,12 +1046,9 @@ impl OffloadEngine {
             // forwarded), so the reference receiver stays consistent;
             // raw state-mutating commands keep the reference current for
             // the next rejoin's snapshot.
+            let cpu_secs = trace.cpu_gcycles / self.cpu_clock_ghz;
             let app_done = start + SimDuration::from_secs_f64(cpu_secs);
-            for cmd in &trace.commands {
-                if cmd.is_state_mutating() {
-                    self.reference_ctx.apply(cmd)?;
-                }
-            }
+            self.reference.apply_state(&trace.commands)?;
             let up = Transfer {
                 delivered_at: app_done,
                 duration: SimDuration::ZERO,
@@ -1518,7 +1504,7 @@ fn run_offloaded(
 
     let (w, h) = off.render_resolution;
     let frame_pixels = w as u64 * h as u64;
-    let mut gen = TraceGenerator::new(
+    let gen = TraceGenerator::new(
         config.workload.profile.clone(),
         config.workload.intensity,
         w,
@@ -1596,33 +1582,6 @@ fn run_offloaded(
         transport.attach_ops(o.log());
     }
 
-    // 2. Ship the setup stream to every device (pure state: replicated).
-    let setup = gen.setup_trace();
-    let setup_wire = forwarder.forward_frame(&setup.commands, gen.client_memory())?;
-    let first_up = transport.send(setup_wire.wire.len(), SimTime::ZERO);
-    // Phone-side reference: the one decoder of the wire stream. Replicas
-    // apply what it decodes, and a rejoin snapshot of its state is
-    // always current (docs/RESILIENCE.md).
-    let mut reference_rx = ServiceReceiver::new();
-    let mut reference_ctx = GlContext::new();
-    let setup_cmds = reference_rx.receive(&setup_wire.wire)?;
-    for cmd in &setup_cmds {
-        if cmd.is_state_mutating() {
-            reference_ctx.apply(cmd)?;
-        }
-    }
-    for rt in &mut runtimes {
-        rt.apply_frame(&setup_cmds, false)?;
-    }
-    drop(setup_cmds);
-    // The setup segment is immutable and content-addressed; a rejoiner
-    // keeps its replica across death, so rejoin resyncs bill only the
-    // delta against this baseline (docs/MIGRATION.md).
-    let setup_snapshot = reference_ctx.snapshot();
-
-    // 3. Run the pipelined engine: issue ahead, receive in completion
-    // order, present in sequence order, until the session clock expires;
-    // then drain the frames still in flight.
     let mut engine = OffloadEngine {
         gen,
         trace: tracegen::FrameTrace::default(),
@@ -1668,9 +1627,9 @@ fn run_offloaded(
         node_events: off.faults.node_schedule(),
         next_event: 0,
         partitions: off.faults.partitions.clone(),
-        reference_ctx,
-        setup_snapshot,
-        reference_rx,
+        reference: Reference::default(),
+        // Taken once the setup stream has replicated (below).
+        setup_snapshot: GlContext::new().snapshot(),
         latency_ewma: 0.0,
         breach_streak: 0,
         fallback: false,
@@ -1701,12 +1660,32 @@ fn run_offloaded(
         arrived: ReorderBuffer::new(),
         free_lists: Vec::new(),
         next_seq: 0,
-        app_free: first_up.delivered_at,
+        app_free: SimTime::ZERO,
         decode_free: SimTime::ZERO,
         last_shown: SimTime::ZERO,
         dt_est: 1.0 / 30.0,
     };
-    // Detector baselines start after the setup stream's transfers.
+
+    // 2. Ship the setup stream to every device (pure state: replicated).
+    // The phone-side reference decodes it, and a rejoin snapshot of the
+    // reference state is always current (docs/RESILIENCE.md).
+    let setup = engine.gen.setup_trace();
+    let setup_wire = engine
+        .forwarder
+        .forward_frame(&setup.commands, engine.gen.client_memory())?;
+    let first_up = engine.transport.send(setup_wire.wire.len(), SimTime::ZERO);
+    engine.app_free = first_up.delivered_at;
+    let setup_cmds = engine.replicate(&setup_wire.wire, None)?;
+    engine.release_commands(setup_cmds);
+    // The setup segment is immutable and content-addressed; a rejoiner
+    // keeps its replica across death, so rejoin resyncs bill only the
+    // delta against this baseline (docs/MIGRATION.md).
+    engine.setup_snapshot = engine.reference.context().snapshot();
+
+    // 3. Run the pipelined engine: issue ahead, receive in completion
+    // order, present in sequence order, until the session clock expires;
+    // then drain the frames still in flight. Detector baselines start
+    // after the setup stream's transfers.
     engine.retx_base = engine.c_retx.get();
     engine.wakes_base = engine.c_wakes.get();
     {
@@ -1738,7 +1717,7 @@ fn run_offloaded(
         fallback,
         fallback_since,
         mut fallback_secs,
-        reference_ctx,
+        reference,
         ..
     } = engine;
     let total = last_shown - SimTime::ZERO;
@@ -1833,7 +1812,7 @@ fn run_offloaded(
     // applies its commands from; a killed node stopped ingesting the
     // stream at its failure instant and is excluded (Section VI-B's
     // consistency check).
-    let reference_digest = reference_ctx.digest();
+    let reference_digest = reference.context().digest();
     let state_consistent = runtimes
         .iter()
         .zip(dispatcher.nodes())

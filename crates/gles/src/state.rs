@@ -379,20 +379,15 @@ impl GlContext {
                 offset,
                 data,
             } => {
-                let id = self.bound_buffer(*target)?;
+                self.check_write_bounds(cmd)?;
+                let id = self.buffer_binding(*target);
                 let obj = self
                     .buffers
                     .get_mut(&id.raw())
                     .expect("binding invariant: bound buffer exists");
-                let end = *offset as usize + data.len();
-                if end > obj.data.len() {
-                    return Err(GlError::InvalidValue(format!(
-                        "glBufferSubData writes {end} bytes into buffer of {}",
-                        obj.data.len()
-                    )));
-                }
+                let start = *offset as usize;
                 let mut copy = obj.data.as_ref().clone();
-                copy[*offset as usize..end].copy_from_slice(data);
+                copy[start..start + data.len()].copy_from_slice(data);
                 obj.data = Arc::new(copy);
             }
             GlCommand::ActiveTexture(unit) => {
@@ -423,10 +418,14 @@ impl GlContext {
                 data,
                 ..
             } => {
-                let expected = *width as usize * *height as usize * format.bytes_per_pixel();
-                if data.len() != expected {
+                // Dimensions come off the wire: a size past `usize`
+                // matches no payload.
+                let expected = (*width as usize)
+                    .checked_mul(*height as usize)
+                    .and_then(|texels| texels.checked_mul(format.bytes_per_pixel()));
+                if expected != Some(data.len()) {
                     return Err(GlError::InvalidValue(format!(
-                        "glTexImage2D payload {} bytes, expected {expected}",
+                        "glTexImage2D payload {} bytes for {width}x{height} {format:?}",
                         data.len()
                     )));
                 }
@@ -441,26 +440,10 @@ impl GlContext {
                 obj.format = *format;
                 obj.data = Arc::clone(data);
             }
-            GlCommand::TexSubImage2D {
-                x,
-                y,
-                width,
-                height,
-                format,
-                data,
-                ..
-            } => {
+            GlCommand::TexSubImage2D { format, data, .. } => {
                 self.frame_stats.texture_upload_bytes += data.len() as u64;
-                let id = self.bound_texture()?;
-                let obj = self
-                    .textures
-                    .get_mut(&id.raw())
-                    .expect("binding invariant: bound texture exists");
-                if *x + *width > obj.width || *y + *height > obj.height {
-                    return Err(GlError::InvalidValue(
-                        "glTexSubImage2D region outside texture".into(),
-                    ));
-                }
+                self.check_write_bounds(cmd)?;
+                let obj = self.texture(self.bound_texture()?)?;
                 if obj.format != *format {
                     return Err(GlError::InvalidOperation(
                         "glTexSubImage2D format mismatch".into(),
@@ -589,6 +572,58 @@ impl GlContext {
         Ok(())
     }
 
+    /// Checks that a sub-range write lands inside the object it writes
+    /// to: a `BufferSubData` range inside the buffer bound to its
+    /// target, a `TexSubImage2D` rect inside the texture bound to the
+    /// active unit. Every other command passes. [`Self::apply`] checks
+    /// this before it writes, and the service boundary's validation pass
+    /// checks it to reject a command before it is applied. Offsets and
+    /// sizes come off the wire, so their sums are checked, never
+    /// wrapped.
+    ///
+    /// # Errors
+    ///
+    /// [`GlError::InvalidOperation`] when nothing is bound to write to,
+    /// and [`GlError::InvalidValue`] when the range ends outside it.
+    pub fn check_write_bounds(&self, cmd: &GlCommand) -> Result<(), GlError> {
+        match cmd {
+            GlCommand::BufferSubData {
+                target,
+                offset,
+                data,
+            } => {
+                let size = self.buffer(self.bound_buffer(*target)?)?.data.len();
+                if (*offset as usize)
+                    .checked_add(data.len())
+                    .is_none_or(|end| end > size)
+                {
+                    return Err(GlError::InvalidValue(format!(
+                        "glBufferSubData writes {} bytes at {offset} into buffer of {size}",
+                        data.len()
+                    )));
+                }
+            }
+            GlCommand::TexSubImage2D {
+                x,
+                y,
+                width,
+                height,
+                ..
+            } => {
+                let tex = self.texture(self.bound_texture()?)?;
+                let outside =
+                    |at: u32, len: u32, size: u32| at.checked_add(len).is_none_or(|end| end > size);
+                if outside(*x, *width, tex.width) || outside(*y, *height, tex.height) {
+                    return Err(GlError::InvalidValue(
+                        "glTexSubImage2D region outside texture".into(),
+                    ));
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
     /// Finishes the current frame: returns its stats and resets the
     /// per-frame counters. Call after `SwapBuffers`.
     pub fn end_frame(&mut self) -> FrameStats {
@@ -609,14 +644,6 @@ impl GlContext {
             BufferTarget::Array => self.array_buffer,
             BufferTarget::ElementArray => self.element_buffer,
         }
-    }
-
-    /// The texture bound to the active texture unit, or `None`. The
-    /// service-boundary validation pass resolves incoming
-    /// `TexSubImage2D` rects against this binding before they touch the
-    /// replica.
-    pub fn texture_binding(&self) -> Option<TextureId> {
-        self.texture_units[self.active_unit as usize]
     }
 
     /// Whether `cap` is enabled.
@@ -1030,6 +1057,101 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, GlError::InvalidValue(_)));
+    }
+
+    /// A context with a `w`×`h` RGBA texture bound to unit 0 and a
+    /// 16-byte buffer bound to `GL_ARRAY_BUFFER`.
+    fn bound_storage(w: u32, h: u32) -> GlContext {
+        let mut ctx = GlContext::new();
+        for cmd in [
+            GlCommand::GenTexture(TextureId(1)),
+            GlCommand::BindTexture {
+                target: TextureTarget::Texture2D,
+                texture: TextureId(1),
+            },
+            GlCommand::TexImage2D {
+                target: TextureTarget::Texture2D,
+                level: 0,
+                format: PixelFormat::Rgba8,
+                width: w,
+                height: h,
+                data: Arc::new(vec![0; (w * h * 4) as usize]),
+            },
+            GlCommand::GenBuffer(BufferId(1)),
+            GlCommand::BindBuffer {
+                target: BufferTarget::Array,
+                buffer: BufferId(1),
+            },
+            GlCommand::BufferData {
+                target: BufferTarget::Array,
+                data: Arc::new(vec![0; 16]),
+                usage: BufferUsage::DynamicDraw,
+            },
+        ] {
+            ctx.apply(&cmd).unwrap();
+        }
+        ctx
+    }
+
+    #[test]
+    fn tex_image_size_overflow_is_an_error() {
+        // 2^31 × 2^31 RGBA texels is 2^64 bytes: the product must not
+        // wrap to 0 and match the empty payload.
+        let mut ctx = bound_storage(4, 4);
+        let before = ctx.digest();
+        let err = ctx
+            .apply(&GlCommand::TexImage2D {
+                target: TextureTarget::Texture2D,
+                level: 0,
+                format: PixelFormat::Rgba8,
+                width: 1 << 31,
+                height: 1 << 31,
+                data: Arc::new(Vec::new()),
+            })
+            .unwrap_err();
+        assert!(matches!(err, GlError::InvalidValue(_)), "{err:?}");
+        assert_eq!(ctx.digest(), before);
+    }
+
+    #[test]
+    fn sub_range_write_overflow_is_an_error() {
+        let mut ctx = bound_storage(4, 4);
+        let before = ctx.digest();
+        let rect = |x, y, width, height| GlCommand::TexSubImage2D {
+            target: TextureTarget::Texture2D,
+            level: 0,
+            x,
+            y,
+            width,
+            height,
+            format: PixelFormat::Rgba8,
+            data: Arc::new(vec![0; 4]),
+        };
+        let range = |offset, len| GlCommand::BufferSubData {
+            target: BufferTarget::Array,
+            offset,
+            data: Arc::new(vec![1; len]),
+        };
+        // Each sum passes `u32::MAX` (the buffer range's only where
+        // `usize` is 32 bits); wrapped, it would land inside.
+        for cmd in [
+            rect(u32::MAX, 0, 1, 1),
+            rect(0, u32::MAX, 1, 1),
+            rect(1, 0, u32::MAX, 1),
+            range(u32::MAX, 1),
+        ] {
+            assert!(matches!(
+                ctx.check_write_bounds(&cmd),
+                Err(GlError::InvalidValue(_))
+            ));
+            assert!(matches!(ctx.apply(&cmd), Err(GlError::InvalidValue(_))));
+        }
+        assert_eq!(ctx.digest(), before);
+        // Ranges that end exactly at the edge are inside.
+        for cmd in [rect(3, 3, 1, 1), range(12, 4)] {
+            ctx.check_write_bounds(&cmd).unwrap();
+            ctx.apply(&cmd).unwrap();
+        }
     }
 
     #[test]
