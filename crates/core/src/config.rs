@@ -1,6 +1,7 @@
 //! Session configuration (builder-style).
 
 use gbooster_sim::device::{DeviceClass, DeviceSpec};
+use gbooster_sim::time::SimDuration;
 use gbooster_telemetry::AlertConfig;
 use gbooster_workload::apps::AppTitle;
 use gbooster_workload::games::GameTitle;
@@ -16,6 +17,26 @@ pub(crate) const MAX_LOSS_SCALE: f64 = 100.0;
 /// Largest accepted side of a render resolution, in pixels, for
 /// sessions and the fabric alike.
 pub(crate) const MAX_RENDER_SIDE: u32 = 65_535;
+
+/// Phone compositor/driver time per frame, for sessions and the fabric
+/// alike. A session charges it on each frame its phone GPU renders; the
+/// fabric charges it on every presentation.
+pub(crate) const COMPOSITOR: SimDuration = SimDuration::from_millis(2);
+
+/// RTT between a phone and a service device on the evaluation LAN (the
+/// paper's same-room deployment), for sessions and the fabric alike.
+pub(crate) const LAN_RTT: SimDuration = SimDuration::from_millis(2);
+
+/// Warm-up window a node serves under an Eq. 4 score penalty after it
+/// rejoins, or after a migration lands on it, for sessions and the
+/// fabric alike (see [`crate::scheduler::Dispatcher::revive_node`]).
+pub(crate) const REJOIN_WARMUP: SimDuration = SimDuration::from_millis(50);
+
+/// Bound of the seeded ground-truth service-clock skew, µs: each
+/// service clock is offset by a draw from `±MAX_CLOCK_SKEW_US`, which
+/// the clock-offset estimators must recover, for sessions and the
+/// fabric alike.
+pub(crate) const MAX_CLOCK_SKEW_US: i64 = 150_000;
 
 /// The application under test: a game from Table II, an app from Table
 /// III, or a custom profile.

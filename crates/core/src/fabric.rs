@@ -35,7 +35,9 @@ use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
+use gbooster_net::rudp::DEFAULT_RTO;
 use gbooster_sim::device::DeviceSpec;
+use gbooster_sim::gpu::GpuModel;
 use gbooster_sim::rng::derived;
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::export::prometheus_text_with_labels_dedup;
@@ -48,11 +50,13 @@ use gbooster_telemetry::{
     names, ClockOffsetEstimator, Counter, Histogram, Registry, TelemetrySnapshot,
 };
 use gbooster_workload::games::GameTitle;
-use gbooster_workload::tracegen::TraceGenerator;
+use gbooster_workload::tracegen::{self, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::{MAX_LOSS_SCALE, MAX_RENDER_SIDE};
+use crate::config::{
+    COMPOSITOR, LAN_RTT, MAX_CLOCK_SKEW_US, MAX_LOSS_SCALE, MAX_RENDER_SIDE, REJOIN_WARMUP,
+};
 use crate::error::GBoosterError;
 use crate::forward::{CommandForwarder, Reference};
 use crate::rebalance::{assign_destinations, RebalancePolicy, Rebalancer};
@@ -61,14 +65,6 @@ use crate::transport::{fabric_link_secs, fabric_migration_secs};
 
 /// Frames of steady-state workload calibrated per title (cycled).
 const CALIB_FRAMES: usize = 48;
-/// Display compositor latency charged on every presentation.
-const COMPOSITOR: SimDuration = SimDuration::from_millis(2);
-/// LAN RTT to every pool node (the paper's same-room deployment).
-const LAN_RTT: SimDuration = SimDuration::from_millis(2);
-/// Eq. 4 warm-up booked onto a revived node.
-const REJOIN_WARMUP: SimDuration = SimDuration::from_millis(50);
-/// Loss-burst recovery stall charged per excess retransmission round.
-const RETX_PENALTY: SimDuration = SimDuration::from_millis(20);
 /// Per-frame probability of a loss burst at `loss_scale = 1`.
 const LOSS_BURST_P: f64 = 0.02;
 /// Wire cost of attaching to an already-resident shared setup segment.
@@ -735,8 +731,9 @@ fn calibrate(title: &GameTitle, resolution: (u32, u32), seed: u64) -> TitleModel
         snap_delta: 0,
     };
     let frame_px = w as u64 * h as u64;
+    let mut frame = tracegen::FrameTrace::default();
     for _ in 0..CALIB_FRAMES {
-        let frame = gen.next_frame(1.0 / 30.0);
+        gen.next_frame_into(1.0 / 30.0, &mut frame);
         let fwd = fw
             .forward_frame(&frame.commands, gen.client_memory())
             .expect("calibration frame must forward");
@@ -860,8 +857,6 @@ struct TenantState {
     service_secs: f64,
     latency_ewma_ms: f64,
     local_mode: bool,
-    incidents: u64,
-    migrations: u32,
 }
 
 impl TenantState {
@@ -882,8 +877,6 @@ impl TenantState {
             service_secs: 0.0,
             latency_ewma_ms: 0.0,
             local_mode: false,
-            incidents: 0,
-            migrations: 0,
         }
     }
 
@@ -911,10 +904,9 @@ struct Mig {
     from: usize,
     to: usize,
     started: SimTime,
-    /// Bytes per ship (the retarget re-ship charges this again).
+    /// Bytes per ship. A migration ships once when it starts and once
+    /// per retarget, so it has shipped `ship × (1 + retargets)` bytes.
     ship: u64,
-    /// Total bytes shipped including re-ships.
-    bytes: u64,
     retargets: u32,
     epoch: u64,
     done: Option<SimTime>,
@@ -986,7 +978,8 @@ impl FabricObserver {
             clocks: (0..nodes).map(|_| ClockOffsetEstimator::new()).collect(),
             skew_us: (0..nodes)
                 .map(|j| {
-                    derived(seed, &format!("fabric-node-skew-{j}")).gen_range(-150_000i64..=150_000)
+                    derived(seed, &format!("fabric-node-skew-{j}"))
+                        .gen_range(-MAX_CLOCK_SKEW_US..=MAX_CLOCK_SKEW_US)
                 })
                 .collect(),
             tenant_labels: (0..tenants).map(|i| format!("t{i:03}")).collect(),
@@ -1333,8 +1326,9 @@ struct Fabric<'a> {
     c_downlink: Counter,
     h_latency: Histogram,
     h_queue_wait: Histogram,
-    /// The phone GPU's fill rate, pixels per second.
-    phone_rate: f64,
+    /// Every tenant's phone GPU (a Nexus 5), never stepped, so it
+    /// renders at its max clock.
+    phone_gpu: GpuModel,
     dispatcher: Dispatcher,
     tenants: Vec<TenantState>,
     backlog: Backlog,
@@ -1361,10 +1355,11 @@ struct Fabric<'a> {
     draining: Vec<bool>,
     open_incident: Vec<Option<&'static str>>,
     migs: Vec<Mig>,
+    /// Per tenant, its migration in flight and its latest cutover: two
+    /// indexes of `migs`, kept because the frame verdict reads them on
+    /// every presentation.
     active_mig: Vec<Option<usize>>,
     cutover_at: Vec<Option<SimTime>>,
-    /// Per node, migrations away from it not yet cut over.
-    pending_off: Vec<usize>,
     flight: FlightRecorder,
     rebal: Option<Rebalancer>,
     obs: Option<FabricObserver>,
@@ -1392,7 +1387,7 @@ impl<'a> Fabric<'a> {
             h_latency: pool.histogram(names::fabric::FRAME_LATENCY),
             h_queue_wait: pool.histogram(names::fabric::QUEUE_WAIT),
             pool,
-            phone_rate: DeviceSpec::nexus5().gpu.fillrate_gpixels_per_sec * 1e9,
+            phone_gpu: GpuModel::new(DeviceSpec::nexus5().gpu),
             dispatcher: Dispatcher::new(
                 cfg.pool
                     .iter()
@@ -1419,7 +1414,6 @@ impl<'a> Fabric<'a> {
             migs: Vec::new(),
             active_mig: vec![None; n],
             cutover_at: vec![None; n],
-            pending_off: vec![0; nodes],
             flight: FlightRecorder::new(),
             rebal: cfg.rebalance.map(|p| Rebalancer::new(nodes, p)),
             obs: cfg
@@ -1560,15 +1554,16 @@ impl<'a> Fabric<'a> {
         self.tenants[t].uplink_counter().add(bytes);
     }
 
-    /// Recovery stall of a loss burst on tenant `t`'s link, seconds. A
-    /// lossy link draws from the tenant's stream once per transfer, and
-    /// again for the burst's retransmission rounds.
+    /// Recovery stall of a loss burst on tenant `t`'s link, seconds: one
+    /// RUDP timeout per retransmission round. A lossy link draws from the
+    /// tenant's stream once per transfer, and again for the burst's
+    /// rounds.
     fn loss_burst_secs(&mut self, t: usize) -> f64 {
         let loss = self.cfg.loss_scale;
         let rng = &mut self.tenants[t].rng;
         if loss > 0.0 && rng.gen_range(0.0..1.0) < (LOSS_BURST_P * loss).min(0.5) {
             let rounds = rng.gen_range(1..=3);
-            RETX_PENALTY.as_secs_f64() * rounds as f64
+            DEFAULT_RTO.as_secs_f64() * rounds as f64
         } else {
             0.0
         }
@@ -1593,9 +1588,8 @@ impl<'a> Fabric<'a> {
     fn open_incident(&mut self, node: usize, kind: &'static str, now: SimTime) {
         self.open_incident[node] = Some(kind);
         let c_incidents = self.pool.counter(names::fabric::INCIDENTS);
-        for (t, st) in self.tenants.iter_mut().enumerate() {
-            if self.admission.admitted[t] {
-                st.incidents += 1;
+        for (t, &admitted) in self.admission.admitted.iter().enumerate() {
+            if admitted {
                 c_incidents.inc();
                 self.incidents.push(TenantIncident {
                     tenant: t as u32,
@@ -1654,8 +1648,7 @@ impl<'a> Fabric<'a> {
 
     /// Renders `job` on tenant `t`'s own GPU from `now` and presents it.
     fn render_local(&mut self, t: usize, job: FrameJob, now: SimTime) {
-        let secs = job.fill as f64 / self.phone_rate;
-        let ready = now + SimDuration::from_secs_f64(secs) + COMPOSITOR;
+        let ready = now + self.phone_gpu.render_time(job.fill, 1.0) + COMPOSITOR;
         if let Some(o) = self.obs.as_mut() {
             // Phone-rendered: the span tree collapses to one
             // local_render stage whatever came before.
@@ -1748,7 +1741,6 @@ impl<'a> Fabric<'a> {
             to: dst,
             started: now,
             ship,
-            bytes: 0,
             retargets: 0,
             epoch: 0,
             done: None,
@@ -1756,7 +1748,6 @@ impl<'a> Fabric<'a> {
             reason,
         });
         self.active_mig[t] = Some(self.migs.len() - 1);
-        self.pending_off[src] += 1;
         self.homed_demand[src] -= self.admission.demand[t];
         self.ship(now, self.migs.len() - 1);
     }
@@ -1764,8 +1755,7 @@ impl<'a> Fabric<'a> {
     /// Ships migration `idx`'s snapshot toward its current destination
     /// and schedules the epoch-guarded cutover for when it lands.
     fn ship(&mut self, now: SimTime, idx: usize) {
-        let mg = &mut self.migs[idx];
-        mg.bytes += mg.ship;
+        let mg = &self.migs[idx];
         let (t, bytes, epoch) = (mg.tenant, mg.ship, mg.epoch);
         self.uplink(t, bytes);
         self.count(t, names::migrate::BYTES, bytes);
@@ -1789,7 +1779,7 @@ impl<'a> Fabric<'a> {
                 .counter(names::migrate::ABORTED)
                 .add(movers.len() as u64);
             self.flight
-                .trigger(Fault::MigrationStalled, now, &[], self.pool.snapshot());
+                .trigger(Fault::MigrationStalled, now, &[], || self.pool.snapshot());
             return;
         }
         self.draining[node] = true;
@@ -1797,9 +1787,14 @@ impl<'a> Fabric<'a> {
             let dest = dest.expect("survivor checked above");
             self.start_migration(now, t, node, dest, reason);
         }
-        if movers.is_empty() && self.pending_off[node] == 0 {
+        if movers.is_empty() && !self.migrating_off(node) {
             self.dispatcher.cordon_node(node, true);
         }
+    }
+
+    /// Whether a migration away from `node` is still in flight.
+    fn migrating_off(&self, node: usize) -> bool {
+        (self.migs.iter()).any(|m| m.from == node && m.done.is_none() && !m.aborted)
     }
 
     fn on_kill(&mut self, now: SimTime, node: usize) {
@@ -1873,10 +1868,9 @@ impl<'a> Fabric<'a> {
                 mg.aborted = true;
                 self.active_mig[t] = None;
                 self.homed_demand[src] += self.admission.demand[t];
-                self.pending_off[src] -= 1;
                 self.count(t, names::migrate::ABORTED, 1);
                 self.flight
-                    .trigger(Fault::MigrationStalled, now, &[], self.pool.snapshot());
+                    .trigger(Fault::MigrationStalled, now, &[], || self.pool.snapshot());
             }
         }
     }
@@ -1937,7 +1931,6 @@ impl<'a> Fabric<'a> {
         self.home[t] = Some(dst);
         self.active_mig[t] = None;
         self.cutover_at[t] = Some(now);
-        self.tenants[t].migrations += 1;
         self.count(t, names::migrate::SESSIONS, 1);
         self.pool
             .histogram(names::migrate::TRANSFER)
@@ -1945,8 +1938,7 @@ impl<'a> Fabric<'a> {
         // The destination warms up exactly like a revived node: its
         // caches are cold for the new arrival.
         self.dispatcher.warm_node(dst, now, REJOIN_WARMUP);
-        self.pending_off[src] -= 1;
-        if self.pending_off[src] == 0
+        if !self.migrating_off(src)
             && !self.home.contains(&Some(src))
             && self.dead_since[src].is_none()
         {
@@ -2077,6 +2069,10 @@ impl<'a> Fabric<'a> {
     fn tenant_reports(&self) -> (Vec<TenantReport>, Vec<(u32, TelemetrySnapshot)>) {
         let mut reports = Vec::with_capacity(self.tenants.len());
         let mut snaps = Vec::new();
+        let mut incidents = vec![0; self.tenants.len()];
+        for inc in &self.incidents {
+            incidents[inc.tenant as usize] += 1;
+        }
         for (i, st) in self.tenants.iter().enumerate() {
             let admitted = self.admission.admitted[i];
             let snap = st.registry.snapshot();
@@ -2101,7 +2097,7 @@ impl<'a> Fabric<'a> {
                     && st.reorder.awaiting() > 0
                     && p99_us as f64 / 1e3 <= st.spec.slo_ms,
                 gapless: st.reorder.held() == 0 && st.reorder.awaiting() == st.frames_issued,
-                incidents: st.incidents,
+                incidents: incidents[i],
             });
             if admitted {
                 snaps.push((i as u32, snap));
@@ -2144,9 +2140,10 @@ impl<'a> Fabric<'a> {
         // migrated sessions, in frame periods. A gapless cutover holds
         // this at exactly zero — every issued frame is presented and
         // the reorder buffer is empty at the end of the run.
-        let blackout_ms = (self.tenants.iter())
-            .filter(|st| st.migrations > 0)
-            .map(|st| {
+        let blackout_ms = (self.migs.iter())
+            .filter(|m| m.done.is_some())
+            .map(|m| {
+                let st = &self.tenants[m.tenant];
                 let missing = st.frames_issued - st.reorder.awaiting() + st.reorder.held() as u64;
                 missing as f64 * (1e3 / st.spec.fps)
             })
@@ -2204,7 +2201,7 @@ impl<'a> Fabric<'a> {
                     to: m.to,
                     started: m.started,
                     completed: m.done,
-                    bytes: m.bytes,
+                    bytes: m.ship * (1 + u64::from(m.retargets)),
                     retargets: m.retargets,
                     aborted: m.aborted,
                     reason: m.reason,
@@ -2447,6 +2444,85 @@ mod tests {
             "partitioned migrations pay exactly the bytes the shared segment saves"
         );
         assert!(a.migrate_bytes > 0);
+    }
+
+    /// Runs `cfg` one event at a time and, after every event, checks the
+    /// two migration indexes the frame verdict reads against the
+    /// migration log: `active_mig[t]` is tenant `t`'s one migration that
+    /// is neither done nor aborted, and `cutover_at[t]` is its latest
+    /// cutover. Returns the run's migration log.
+    fn drive_checking_migration_indexes(cfg: &FabricConfig) -> Vec<MigrationRecord> {
+        cfg.validate().unwrap();
+        let pool = Registry::new();
+        let (models, model_of) = calibrate_titles(cfg);
+        let admission = admit(cfg, &models, &model_of, &pool).unwrap();
+        let tsdb = observer_tsdb(cfg.duration);
+        let mut fabric = Fabric::new(cfg, models, model_of, admission, pool, tsdb);
+        while let Some(Reverse((t_us, kind, a, b))) = fabric.heap.pop() {
+            fabric.handle(t_us, kind, a, b);
+            let mut in_flight = vec![None; fabric.tenants.len()];
+            let mut last_cutover = vec![None; fabric.tenants.len()];
+            for (i, m) in fabric.migs.iter().enumerate() {
+                if m.done.is_none() && !m.aborted {
+                    let t = m.tenant;
+                    assert_eq!(in_flight[t], None, "t{t} migrates twice at {t_us} µs");
+                    in_flight[t] = Some(i);
+                }
+                last_cutover[m.tenant] = last_cutover[m.tenant].max(m.done);
+            }
+            assert_eq!(fabric.active_mig, in_flight, "at {t_us} µs");
+            assert_eq!(fabric.cutover_at, last_cutover, "at {t_us} µs");
+        }
+        fabric.finish().migrations
+    }
+
+    #[test]
+    fn migration_indexes_match_the_migration_log_after_every_event() {
+        let pool = vec![
+            DeviceSpec::nvidia_shield(),
+            DeviceSpec::dell_optiplex_9010(),
+            DeviceSpec::dell_m4600(),
+        ];
+        let mut cfg = FabricConfig::uniform(24, pool, 41);
+        cfg.duration = SimDuration::from_secs(5);
+        cfg.loss_scale = 1.0;
+        for t in &mut cfg.tenants {
+            t.fps = 10.0;
+        }
+        // Drain node 0 and kill its main destination at the same instant
+        // (transfers toward node 1 retarget to node 2), revive node 1,
+        // then drain node 2, so sessions migrate a second time.
+        cfg.drain_node(SimTime::from_secs(1), 0);
+        cfg.events.push(PoolEvent::Kill {
+            at: SimTime::from_secs(1),
+            node: 1,
+        });
+        cfg.events.push(PoolEvent::Revive {
+            at: SimTime::from_secs(2),
+            node: 1,
+        });
+        cfg.drain_node(SimTime::from_secs(3), 2);
+        let log = drive_checking_migration_indexes(&cfg);
+        assert!(log.iter().any(|m| m.retargets > 0), "a transfer retargets");
+        let mut cutovers = [0; 24];
+        for m in log.iter().filter(|m| m.completed.is_some()) {
+            cutovers[m.tenant as usize] += 1;
+        }
+        assert!(
+            cutovers.iter().any(|&n| n > 1),
+            "no second cutover: {cutovers:?}"
+        );
+
+        // The only destination dies mid-transfer: every migration aborts.
+        let mut cfg = FabricConfig::uniform(8, small_pool(), 43);
+        cfg.duration = SimDuration::from_secs(3);
+        cfg.drain_node(SimTime::from_secs(1), 0);
+        cfg.events.push(PoolEvent::Kill {
+            at: SimTime::from_secs(1),
+            node: 1,
+        });
+        let log = drive_checking_migration_indexes(&cfg);
+        assert!(!log.is_empty() && log.iter().all(|m| m.aborted), "{log:?}");
     }
 
     #[test]

@@ -136,6 +136,10 @@ pub struct CommandForwarder {
     tokens: Vec<u8>,
     /// The frame's wire bytes, copied out at their exact size.
     wire: Vec<u8>,
+    /// The frame's per-(category, outcome) accounting for the
+    /// attribution tap, in first-seen order so apportionment is
+    /// deterministic.
+    attr_entries: Vec<UplinkFrameEntry>,
 }
 
 impl Default for CommandForwarder {
@@ -156,6 +160,7 @@ impl CommandForwarder {
             encoded: Vec::new(),
             tokens: Vec::new(),
             wire: Vec::new(),
+            attr_entries: Vec::new(),
         }
     }
 
@@ -202,16 +207,15 @@ impl CommandForwarder {
             encoded,
             tokens,
             wire,
+            attr_entries,
             ..
         } = self;
         // A frame that failed midway leaves its scratch uncleared.
         resolved.clear();
         tokens.clear();
+        attr_entries.clear();
         let mut raw_bytes = 0usize;
         let mut command_count = 0usize;
-        // Per-(category, outcome) accounting for the attribution tap;
-        // first-seen order keeps apportionment deterministic.
-        let mut attr_entries: Vec<UplinkFrameEntry> = Vec::new();
         for cmd in commands {
             resolver.push_into(cmd.clone(), mem, resolved)?;
             for ready in resolved.drain(..) {
@@ -282,7 +286,7 @@ impl CommandForwarder {
             c.commands.add(command_count as u64);
         }
         if let Some(attr) = &self.attr {
-            attr.record_uplink_frame(&attr_entries, wire.len() as u64);
+            attr.record_uplink_frame(&self.attr_entries, wire.len() as u64);
         }
         Ok(ForwardedFrame {
             wire,
@@ -302,6 +306,7 @@ impl CommandForwarder {
             + self.encoded.capacity()
             + self.tokens.capacity()
             + self.wire.capacity()
+            + self.attr_entries.capacity() * std::mem::size_of::<UplinkFrameEntry>()
     }
 
     /// Lifetime cache hit rate.

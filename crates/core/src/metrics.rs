@@ -2,7 +2,8 @@
 //!
 //! * **Median FPS** and **FPS stability** come from
 //!   [`gbooster_sim::display::FpsRecorder`].
-//! * **Average response time** follows Eq. 5: `t_r = 1000/FPS + t_p`,
+//! * **Average response time** follows Eq. 5 ([`response_time_ms`]):
+//!   `t_r = 1000/FPS + t_p`,
 //!   where `t_p` is the per-frame offloading overhead (network transfers
 //!   and image decoding; encoding overlaps transmission tile-by-tile and
 //!   service rendering overlaps the next frame's CPU work). For local
@@ -11,12 +12,21 @@
 
 use gbooster_sim::time::SimDuration;
 
+/// Eq. 5: the average response time in milliseconds at `median_fps`
+/// with a mean per-frame offloading overhead of `mean_tp_ms` (0 for
+/// local execution); infinite when no frame was shown.
+pub fn response_time_ms(median_fps: f64, mean_tp_ms: f64) -> f64 {
+    if median_fps <= 0.0 {
+        return f64::INFINITY;
+    }
+    1000.0 / median_fps + mean_tp_ms
+}
+
 /// Accumulates the per-frame offloading overhead `t_p` of Eq. 5.
 #[derive(Clone, Debug, Default)]
 pub struct ResponseTracker {
     total_tp: SimDuration,
     frames: u64,
-    degraded_frames: u64,
 }
 
 impl ResponseTracker {
@@ -26,18 +36,9 @@ impl ResponseTracker {
     }
 
     /// Records one frame's overhead components.
-    pub fn record(
-        &mut self,
-        uplink: SimDuration,
-        downlink: SimDuration,
-        decode: SimDuration,
-        degraded: bool,
-    ) {
+    pub fn record(&mut self, uplink: SimDuration, downlink: SimDuration, decode: SimDuration) {
         self.total_tp += uplink + downlink + decode;
         self.frames += 1;
-        if degraded {
-            self.degraded_frames += 1;
-        }
     }
 
     /// Mean `t_p` in milliseconds (0 when no frames were offloaded).
@@ -47,28 +48,6 @@ impl ResponseTracker {
         } else {
             self.total_tp.as_millis_f64() / self.frames as f64
         }
-    }
-
-    /// Frames recorded.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Fraction of frames degraded by radio mispredictions.
-    pub fn degraded_fraction(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.degraded_frames as f64 / self.frames as f64
-        }
-    }
-
-    /// Eq. 5: response time in milliseconds at the given median FPS.
-    pub fn response_time_ms(&self, median_fps: f64) -> f64 {
-        if median_fps <= 0.0 {
-            return f64::INFINITY;
-        }
-        1000.0 / median_fps + self.mean_tp_ms()
     }
 }
 
@@ -124,7 +103,7 @@ mod tests {
     #[test]
     fn local_response_is_reciprocal_fps() {
         let t = ResponseTracker::new();
-        assert!((t.response_time_ms(25.0) - 40.0).abs() < 1e-9);
+        assert!((response_time_ms(25.0, t.mean_tp_ms()) - 40.0).abs() < 1e-9);
         assert_eq!(t.mean_tp_ms(), 0.0);
     }
 
@@ -135,35 +114,14 @@ mod tests {
             SimDuration::from_millis(2),
             SimDuration::from_millis(5),
             SimDuration::from_millis(3),
-            false,
         );
         assert!((t.mean_tp_ms() - 10.0).abs() < 1e-9);
-        assert!((t.response_time_ms(40.0) - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degraded_fraction_counts() {
-        let mut t = ResponseTracker::new();
-        t.record(
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            true,
-        );
-        t.record(
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-            false,
-        );
-        assert!((t.degraded_fraction() - 0.5).abs() < 1e-9);
-        assert_eq!(t.frames(), 2);
+        assert!((response_time_ms(40.0, t.mean_tp_ms()) - 35.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_fps_yields_infinite_response() {
-        let t = ResponseTracker::new();
-        assert!(t.response_time_ms(0.0).is_infinite());
+        assert!(response_time_ms(0.0, 0.0).is_infinite());
     }
 
     #[test]

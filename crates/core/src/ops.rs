@@ -107,17 +107,18 @@ const OBJECTIVES: [SloObjective; 3] = [
     },
 ];
 
-/// Incident kind and severity for a detector-classified fault, or
-/// `None` for faults that are recoveries rather than triggers.
-fn fault_rank(fault: Fault) -> Option<(&'static str, u8)> {
+/// Incident severity for a detector-classified fault, or `None` for
+/// faults that are recoveries rather than triggers. The incident kind
+/// is the fault's [`Fault::as_str`] name.
+fn fault_severity(fault: Fault) -> Option<u8> {
     match fault {
-        Fault::AllNodesLost => Some(("all_nodes_lost", 6)),
-        Fault::NodeLoss => Some(("node_loss", 5)),
-        Fault::FallbackEngaged => Some(("fallback_engaged", 4)),
-        Fault::LossStorm => Some(("loss_storm", 2)),
-        Fault::DispatchTimeout => Some(("dispatch_timeout", 2)),
-        Fault::InterfaceFlap => Some(("interface_flap", 2)),
-        Fault::MigrationStalled => Some(("migration_stalled", 3)),
+        Fault::AllNodesLost => Some(6),
+        Fault::NodeLoss => Some(5),
+        Fault::FallbackEngaged => Some(4),
+        Fault::LossStorm => Some(2),
+        Fault::DispatchTimeout => Some(2),
+        Fault::InterfaceFlap => Some(2),
+        Fault::MigrationStalled => Some(3),
         Fault::NodeRejoined => None,
     }
 }
@@ -339,13 +340,13 @@ impl OpsRuntime {
                 fault: fault.as_str(),
             },
         );
-        let Some((kind, severity)) = fault_rank(fault) else {
+        let Some(severity) = fault_severity(fault) else {
             return;
         };
         let slo = self.burn_snapshot(now);
         self.incidents.on_trigger(
             now,
-            kind,
+            fault.as_str(),
             severity,
             format!("detector classified {}", fault.as_str()),
             slo,

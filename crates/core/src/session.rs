@@ -36,20 +36,17 @@ use rand::Rng;
 
 use crate::config::{
     ExecutionMode, FaultInjection, LinkPartition, NodeEvent, OffloadConfig, SessionConfig,
+    COMPOSITOR, LAN_RTT, MAX_CLOCK_SKEW_US, REJOIN_WARMUP,
 };
 use crate::error::GBoosterError;
 use crate::forward::{recycle, CommandForwarder, ForwardedFrame, Reference};
 use crate::health::{HealthEvent, HealthMonitor};
-use crate::metrics::{CpuLedger, ResponseTracker};
+use crate::metrics::{self, CpuLedger, ResponseTracker};
 use crate::ops::OpsRuntime;
 use crate::scheduler::{Dispatcher, ReorderBuffer, ServiceNode};
 use crate::service::ServiceRuntime;
 use crate::transport::{Transfer, TransportManager};
 use crate::wrapper::Interceptor;
-
-/// Local compositor/driver overhead per drawn frame (the phone GPU also
-/// composites the UI; freed entirely when frames arrive from the network).
-const COMPOSITOR: SimDuration = SimDuration::from_millis(2);
 
 /// Phone-side serialization + LZ4 throughput, bytes/second on one core.
 const FORWARD_BYTES_PER_SEC: f64 = 80e6;
@@ -65,9 +62,6 @@ const DISPLAY_POWER_W: f64 = 0.4;
 
 /// SoC base (RAM, sensors, rails) power, watts.
 const BASE_POWER_W: f64 = 0.2;
-
-/// RTT between user device and a service device on the evaluation LAN.
-const LAN_RTT: SimDuration = SimDuration::from_millis(2);
 
 /// Retransmit burst within a single frame that counts as a loss storm.
 const LOSS_STORM_RETX: u64 = 50;
@@ -88,11 +82,6 @@ const INJECTED_STALL: SimDuration = SimDuration::from_millis(80);
 
 /// WiFi power cycles a scheduled interface flap injects.
 const INJECTED_FLAP_CYCLES: u32 = 4;
-
-/// Warm-up window a rejoined node serves under an Eq. 4 score penalty
-/// after its state resync lands (see
-/// [`crate::scheduler::Dispatcher::revive_node`]).
-const REJOIN_WARMUP: SimDuration = SimDuration::from_millis(50);
 
 /// How long after a node failure its orphaned frames wait before being
 /// re-dispatched to the next-best node (detection delay of the
@@ -322,10 +311,6 @@ impl Session {
     }
 }
 
-fn encoded_bytes(runtimes: &[ServiceRuntime], changed_px: u64) -> usize {
-    runtimes[0].encoded_bytes(changed_px)
-}
-
 /// Splits the variable (per-byte) part of the phone-side forwarding cost
 /// across its three sub-stages. The fractions attribute the measured
 /// profile of the pipeline — deferred resolution dominates, the LRU probe
@@ -434,11 +419,7 @@ fn run_local(config: &SessionConfig) -> SessionReport {
         let joules = gpu.step(elapsed, util);
         meter.record_joules(Component::Gpu, joules);
         let cpu_util = (cpu_secs / elapsed.as_secs_f64() / dev.cpu.cores as f64).min(1.0);
-        meter.record(
-            Component::Cpu,
-            dev.cpu.idle_power_w + (dev.cpu.max_power_w - dev.cpu.idle_power_w) * cpu_util,
-            elapsed,
-        );
+        meter.record(Component::Cpu, dev.cpu.power_w(cpu_util), elapsed);
         meter.record(Component::Display, DISPLAY_POWER_W, elapsed);
         meter.record(Component::Base, BASE_POWER_W, elapsed);
         ledger.add_busy(cpu_secs);
@@ -449,24 +430,55 @@ fn run_local(config: &SessionConfig) -> SessionReport {
     let total = last_shown - SimTime::ZERO;
     meter.advance(total);
     let cpu_util = ledger.utilization(total.as_secs_f64());
+    phone_only_report(config, &fps, meter, &ledger, cpu_util, total, None)
+}
+
+/// The cloud baseline's video stream, as its report reads it.
+struct CloudStream {
+    /// Bytes the phone received over WiFi.
+    bytes: u64,
+    /// Eq. 5's mean per-frame overhead `t_p`, milliseconds.
+    mean_tp_ms: f64,
+}
+
+/// The report of a run without the offload pipeline: a local run
+/// (`stream` is `None`), or the cloud baseline, whose video stream is
+/// its only link traffic. Every offload-only field is empty.
+fn phone_only_report(
+    config: &SessionConfig,
+    fps: &FpsRecorder,
+    energy: PowerMeter,
+    ledger: &CpuLedger,
+    cpu_util: f64,
+    total: SimDuration,
+    stream: Option<CloudStream>,
+) -> SessionReport {
     let registry = Registry::new();
-    record_session_counters(&registry, fps.frame_count() as u64, &ledger, cpu_util);
+    record_session_counters(&registry, fps.frame_count() as u64, ledger, cpu_util);
+    let (mode, mean_tp_ms, downlink_bytes, avg_mbps, wifi_wakes) = match stream {
+        None => ("local", 0.0, 0, 0.0, 0),
+        Some(s) => {
+            registry.counter(names::net::DOWNLINK_BYTES).add(s.bytes);
+            let mbps = s.bytes as f64 * 8.0 / 1e6 / total.as_secs_f64();
+            ("cloud", s.mean_tp_ms, s.bytes, mbps, 1)
+        }
+    };
     SessionReport {
         workload: config.workload.name.clone(),
-        device: dev.name.to_string(),
-        mode: "local".into(),
+        device: config.user_device.name.to_string(),
+        mode: mode.into(),
         median_fps: fps.median_fps(),
         stability: fps.stability(),
         frame_jitter_ms: fps.interval_jitter_ms(),
-        response_time_ms: ResponseTracker::new().response_time_ms(fps.median_fps()),
-        mean_tp_ms: 0.0,
-        energy: meter,
+        response_time_ms: metrics::response_time_ms(fps.median_fps(), mean_tp_ms),
+        mean_tp_ms,
+        energy,
         cpu_utilization: cpu_util,
         uplink_bytes: 0,
-        downlink_bytes: 0,
-        avg_mbps: 0.0,
-        wifi_wakes: 0,
-        wifi_bytes: 0,
+        downlink_bytes,
+        avg_mbps,
+        wifi_wakes,
+        wifi_bytes: downlink_bytes,
         bt_bytes: 0,
         degraded_fraction: 0.0,
         frames: fps.frame_count() as u64,
@@ -814,7 +826,7 @@ impl OffloadEngine {
             node: decision.node,
             encode,
             changed_px,
-            down_bytes: encoded_bytes(&self.runtimes, changed_px),
+            down_bytes: gbooster_codec::turbo::model_encoded_bytes(changed_px),
             keyframe: trace.scene_change,
             fill: trace.effective_fill,
             app_secs,
@@ -1447,7 +1459,7 @@ impl OffloadEngine {
         if let Some(fault) = detected {
             self.c_faults.inc();
             let frames = self.trace_log.tail(self.flight_depth);
-            let snapshot = self.registry.snapshot();
+            let snapshot = || self.registry.snapshot();
             if self.flight.trigger(fault, shown, frames, snapshot) {
                 self.c_dumps.inc();
             }
@@ -1559,7 +1571,8 @@ fn run_offloaded(
     // ground truth derived from the seed — the user device never reads
     // it, stitching relies solely on the transport's ack-based estimate.
     let session_id = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let true_skew_us: i64 = derived(config.seed, "clock-skew").gen_range(-150_000..=150_000);
+    let true_skew_us =
+        derived(config.seed, "clock-skew").gen_range(-MAX_CLOCK_SKEW_US..=MAX_CLOCK_SKEW_US);
     transport.set_true_clock_offset_us(true_skew_us);
     let remote_log = RemoteSpanLog::new();
     for rt in &mut runtimes {
@@ -1723,11 +1736,7 @@ fn run_offloaded(
     let total = last_shown - SimTime::ZERO;
     let secs = total.as_secs_f64();
     let cpu_util = ledger.utilization(secs);
-    meter.record(
-        Component::Cpu,
-        dev.cpu.idle_power_w + (dev.cpu.max_power_w - dev.cpu.idle_power_w) * cpu_util,
-        total,
-    );
+    meter.record(Component::Cpu, dev.cpu.power_w(cpu_util), total);
     // The phone GPU idles except for the fallback's local renders (with
     // no fallback the busy fraction is exactly zero, as before).
     let gpu_util = if secs > 0.0 {
@@ -1892,11 +1901,6 @@ fn run_offloaded(
         .sum();
         sum_us as f64 / 1000.0 / frames_displayed as f64
     };
-    let response_time_ms = if fps.median_fps() > 0.0 {
-        1000.0 / fps.median_fps() + mean_tp_ms
-    } else {
-        f64::INFINITY
-    };
     let degraded_fraction = if frames_displayed == 0 {
         0.0
     } else {
@@ -1923,7 +1927,7 @@ fn run_offloaded(
         median_fps: fps.median_fps(),
         stability: fps.stability(),
         frame_jitter_ms: fps.interval_jitter_ms(),
-        response_time_ms,
+        response_time_ms: metrics::response_time_ms(fps.median_fps(), mean_tp_ms),
         mean_tp_ms,
         energy: meter,
         cpu_utilization: cpu_util,
@@ -1985,7 +1989,6 @@ fn run_cloud(config: &SessionConfig) -> SessionReport {
             uplink + encode_latency,
             downlink,
             SimDuration::from_secs_f64(decode_secs),
-            false,
         );
         ledger.add_busy(decode_secs);
         downlink_bytes += stream_bytes_per_frame as u64;
@@ -1999,54 +2002,17 @@ fn run_cloud(config: &SessionConfig) -> SessionReport {
     }
 
     let total = now - SimTime::ZERO;
-    let secs = total.as_secs_f64();
-    let cpu_util = ledger.utilization(secs);
-    meter.record(
-        Component::Cpu,
-        dev.cpu.idle_power_w + (dev.cpu.max_power_w - dev.cpu.idle_power_w) * cpu_util,
-        total,
-    );
+    let cpu_util = ledger.utilization(total.as_secs_f64());
+    meter.record(Component::Cpu, dev.cpu.power_w(cpu_util), total);
     meter.record(Component::Gpu, dev.gpu.idle_power_w, total);
     meter.record(Component::Display, DISPLAY_POWER_W, total);
     meter.record(Component::Base, BASE_POWER_W, total);
     meter.advance(total);
-    let registry = Registry::new();
-    record_session_counters(&registry, fps.frame_count() as u64, &ledger, cpu_util);
-    registry
-        .counter(names::net::DOWNLINK_BYTES)
-        .add(downlink_bytes);
-
-    SessionReport {
-        workload: config.workload.name.clone(),
-        device: dev.name.to_string(),
-        mode: "cloud".into(),
-        median_fps: fps.median_fps(),
-        stability: fps.stability(),
-        frame_jitter_ms: fps.interval_jitter_ms(),
-        response_time_ms: response.response_time_ms(fps.median_fps()),
+    let stream = CloudStream {
+        bytes: downlink_bytes,
         mean_tp_ms: response.mean_tp_ms(),
-        energy: meter,
-        cpu_utilization: cpu_util,
-        uplink_bytes: 0,
-        downlink_bytes,
-        avg_mbps: downlink_bytes as f64 * 8.0 / 1e6 / secs,
-        wifi_wakes: 1,
-        wifi_bytes: downlink_bytes,
-        bt_bytes: 0,
-        degraded_fraction: 0.0,
-        frames: fps.frame_count() as u64,
-        extra_memory_mb: 0.0,
-        per_device_requests: Vec::new(),
-        state_consistent: true,
-        duration: total,
-        telemetry: registry.snapshot(),
-        trace: TraceLog::default(),
-        clock_offset_us: None,
-        flight: None,
-        attribution: AttributionSnapshot::default(),
-        ops: OpsReport::default(),
-        host_profile: None,
-    }
+    };
+    phone_only_report(config, &fps, meter, &ledger, cpu_util, total, Some(stream))
 }
 
 #[cfg(test)]

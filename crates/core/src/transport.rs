@@ -10,6 +10,8 @@
 use std::collections::BTreeSet;
 
 use gbooster_forecast::predictor::TrafficPredictor;
+use gbooster_net::channel::ChannelModel;
+use gbooster_net::rudp::DEFAULT_RTO;
 use gbooster_net::switch::{InterfaceManager, Route, SwitchStats};
 use gbooster_sim::time::{SimDuration, SimTime};
 use gbooster_telemetry::{
@@ -17,22 +19,8 @@ use gbooster_telemetry::{
     TraceContext,
 };
 
-/// Per-route propagation latency added on top of serialization.
-const WIFI_LATENCY: SimDuration = SimDuration::from_micros(800);
-const BT_LATENCY: SimDuration = SimDuration::from_millis(4);
-
 /// Link-layer datagram payload used by the retransmit estimator.
 const DATAGRAM_PAYLOAD: u64 = 1200;
-/// Expected datagram loss rates per route (matches the channel defaults
-/// in `gbooster-net`): losses are recovered by the reliable transport, so
-/// here they cost retransmissions, not data.
-const WIFI_LOSS: f64 = 0.002;
-const BT_LOSS: f64 = 0.005;
-
-/// Mean loss-recovery stall per *excess* expected retransmission when
-/// the link is scaled lossy (one RTO-sized round trip, matching the
-/// RUDP default in `gbooster-net`).
-const RETX_RECOVERY: SimDuration = SimDuration::from_millis(20);
 
 /// A transmission outcome including propagation delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,20 +171,27 @@ impl TransportManager {
         self.loss_scale = scale;
     }
 
+    /// The channel model `route` rides: its propagation latency and
+    /// datagram loss rate. Losses are recovered by the reliable
+    /// transport, so here they cost retransmissions, not data.
+    fn channel(&self, route: Route) -> &ChannelModel {
+        match route {
+            Route::Wifi => self.mgr.wifi_channel(),
+            Route::Bluetooth => self.mgr.bt_channel(),
+        }
+    }
+
     /// Recovery stall for the *excess* expected retransmissions of a
-    /// `bytes`-sized transfer on `route`. Zero on a clean link, so the
-    /// baseline path never pays it.
+    /// `bytes`-sized transfer on `route`: one RUDP timeout each. Zero on
+    /// a clean link, so the baseline path never pays it.
     fn loss_recovery(&self, bytes: usize, route: Route) -> SimDuration {
         if self.loss_scale <= 1.0 {
             return SimDuration::ZERO;
         }
         let datagrams = (bytes as u64).div_ceil(DATAGRAM_PAYLOAD).max(1);
-        let loss = match route {
-            Route::Wifi => WIFI_LOSS,
-            Route::Bluetooth => BT_LOSS,
-        };
+        let loss = self.channel(route).loss_rate;
         let extra = datagrams as f64 * loss * (self.loss_scale - 1.0);
-        SimDuration::from_secs_f64(extra * RETX_RECOVERY.as_secs_f64())
+        SimDuration::from_secs_f64(extra * DEFAULT_RTO.as_secs_f64())
     }
 
     /// Registers frame `ctx` as having transfers in flight on this path.
@@ -239,10 +234,7 @@ impl TransportManager {
     /// bias — the estimator's min-RTT filter keeps the least-biased
     /// (smallest) transfer's sample.
     fn observe_clock(&mut self, start: SimTime, delivered_at: SimTime, route: Route) {
-        let ack_latency = match route {
-            Route::Wifi => WIFI_LATENCY,
-            Route::Bluetooth => BT_LATENCY,
-        };
+        let ack_latency = self.channel(route).base_latency;
         let t1 = start.as_micros() as i64;
         let t2 = delivered_at.as_micros() as i64 + self.true_clock_offset_us;
         let t4 = (delivered_at + ack_latency).as_micros() as i64;
@@ -278,10 +270,7 @@ impl TransportManager {
     fn account_retransmits(&mut self, bytes: usize, route: Route) {
         let Some(c) = &self.counters else { return };
         let datagrams = (bytes as u64).div_ceil(DATAGRAM_PAYLOAD).max(1);
-        let loss = match route {
-            Route::Wifi => WIFI_LOSS,
-            Route::Bluetooth => BT_LOSS,
-        } * self.loss_scale;
+        let loss = self.channel(route).loss_rate * self.loss_scale;
         self.retransmit_carry += datagrams as f64 * loss;
         let whole = self.retransmit_carry.floor();
         if whole >= 1.0 {
@@ -348,7 +337,7 @@ impl TransportManager {
             c.uplink_bytes.add(bytes as u64);
         }
         self.account_retransmits(bytes, out.route);
-        let transfer = Self::finish(now, done_at, out.route, out.degraded);
+        let transfer = self.finish(now, done_at, out.route, out.degraded);
         if let Some(attr) = &self.attr {
             attr.record_link(
                 names::attr::DIR_UPLINK,
@@ -380,7 +369,7 @@ impl TransportManager {
             c.downlink_bytes.add(bytes as u64);
         }
         self.account_retransmits(bytes, out.route);
-        let transfer = Self::finish(now, done_at, out.route, out.degraded);
+        let transfer = self.finish(now, done_at, out.route, out.degraded);
         if let Some(attr) = &self.attr {
             attr.record_link(
                 names::attr::DIR_DOWNLINK,
@@ -392,12 +381,10 @@ impl TransportManager {
         transfer
     }
 
-    fn finish(now: SimTime, done_at: SimTime, route: Route, degraded: bool) -> Transfer {
-        let latency = match route {
-            Route::Wifi => WIFI_LATENCY,
-            Route::Bluetooth => BT_LATENCY,
-        };
-        let delivered_at = done_at + latency;
+    /// The transfer that finished serializing at `done_at`, delivered
+    /// one propagation latency of `route` later.
+    fn finish(&self, now: SimTime, done_at: SimTime, route: Route, degraded: bool) -> Transfer {
+        let delivered_at = done_at + self.channel(route).base_latency;
         Transfer {
             delivered_at,
             duration: delivered_at - now,
@@ -461,17 +448,14 @@ impl TransportManager {
 ///
 /// Every tenant phone owns its own radio, so the fabric does not share
 /// one [`TransportManager`] across sessions; each transfer serializes
-/// at the 802.11n channel rate plus half the WiFi propagation RTT.
+/// at the 802.11n channel rate plus the channel's propagation latency.
 /// `loss_scale` derates goodput the way [`TransportManager::set_loss_scale`]
 /// inflates retransmissions: each expected (scaled) datagram loss costs
 /// one extra payload transmission, so the effective rate drops by the
 /// scaled loss factor. Deterministic — loss *bursts* are injected by the
 /// fabric from its per-tenant seeded streams, not here.
 pub fn fabric_link_secs(bytes: u64, loss_scale: f64) -> f64 {
-    let chan = gbooster_net::channel::ChannelModel::wifi_80211n();
-    let serialize = chan.tx_time(bytes as usize).as_secs_f64();
-    let overhead = 1.0 + WIFI_LOSS * loss_scale.max(0.0);
-    serialize * overhead + WIFI_LATENCY.as_secs_f64()
+    wifi_transfer_secs(bytes, loss_scale, 1.0)
 }
 
 /// Channel share a background snapshot transfer may consume: live
@@ -488,10 +472,16 @@ const MIGRATION_CHANNEL_SHARE: f64 = 0.5;
 /// the checkpoint sooner would cause exactly the presentation gap the
 /// cutover protocol promises not to have.
 pub fn fabric_migration_secs(bytes: u64, loss_scale: f64) -> f64 {
-    let chan = gbooster_net::channel::ChannelModel::wifi_80211n();
-    let serialize = chan.tx_time(bytes as usize).as_secs_f64() / MIGRATION_CHANNEL_SHARE;
-    let overhead = 1.0 + WIFI_LOSS * loss_scale.max(0.0);
-    serialize * overhead + WIFI_LATENCY.as_secs_f64()
+    wifi_transfer_secs(bytes, loss_scale, MIGRATION_CHANNEL_SHARE)
+}
+
+/// Seconds to move `bytes` over the 802.11n channel at `share` of its
+/// rate, derated by the scaled loss, plus its propagation latency.
+fn wifi_transfer_secs(bytes: u64, loss_scale: f64, share: f64) -> f64 {
+    let chan = ChannelModel::wifi_80211n();
+    let serialize = chan.tx_time(bytes as usize).as_secs_f64() / share;
+    let overhead = 1.0 + chan.loss_rate * loss_scale.max(0.0);
+    serialize * overhead + chan.base_latency.as_secs_f64()
 }
 
 #[cfg(test)]

@@ -389,8 +389,8 @@ impl SoftGpu {
         ty: IndexType,
         src: &IndexSource,
     ) -> Result<Vec<u32>, GlError> {
-        let bytes: Arc<Vec<u8>> = match src {
-            IndexSource::Inline(data) => Arc::clone(data),
+        let bytes: &[u8] = match src {
+            IndexSource::Inline(data) => data,
             IndexSource::BufferOffset(off) => {
                 let id = self
                     .ctx
@@ -401,32 +401,13 @@ impl SoftGpu {
                     ));
                 }
                 let buf = self.ctx.buffer(id)?;
-                Arc::new(
-                    buf.data
-                        .get(*off as usize..)
-                        .ok_or_else(|| {
-                            GlError::InvalidValue("index offset past buffer end".into())
-                        })?
-                        .to_vec(),
-                )
+                buf.data
+                    .get(*off as usize..)
+                    .ok_or_else(|| GlError::InvalidValue("index offset past buffer end".into()))?
             }
         };
-        let needed = count as usize * ty.size();
-        if bytes.len() < needed {
-            return Err(GlError::InvalidValue(format!(
-                "index data {} bytes, need {needed}",
-                bytes.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for i in 0..count as usize {
-            let v = match ty {
-                IndexType::U8 => bytes[i] as u32,
-                IndexType::U16 => u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]) as u32,
-            };
-            out.push(v);
-        }
-        Ok(out)
+        let indices = ty.decode(bytes, count).map_err(GlError::InvalidValue)?;
+        Ok(indices.collect())
     }
 }
 

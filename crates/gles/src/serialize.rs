@@ -938,22 +938,8 @@ impl DeferredResolver {
                 })?
             }
         };
-        let needed = count as usize * ty.size();
-        if bytes.len() < needed {
-            return Err(WireError::ClientRead(format!(
-                "index data {} bytes, need {needed}",
-                bytes.len()
-            )));
-        }
-        let mut max = 0u32;
-        for i in 0..count as usize {
-            let v = match ty {
-                IndexType::U8 => bytes[i] as u32,
-                IndexType::U16 => u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]) as u32,
-            };
-            max = max.max(v);
-        }
-        Ok(max)
+        let indices = ty.decode(bytes, count).map_err(WireError::ClientRead)?;
+        Ok(indices.max().unwrap_or(0))
     }
 }
 

@@ -162,6 +162,23 @@ impl IndexType {
             IndexType::U16 => 2,
         }
     }
+
+    /// The first `count` indices of this type in `bytes`, little-endian,
+    /// or the reason `bytes` is too short for them.
+    pub(crate) fn decode(
+        self,
+        bytes: &[u8],
+        count: u32,
+    ) -> Result<impl Iterator<Item = u32> + '_, String> {
+        let needed = count as usize * self.size();
+        let data = bytes
+            .get(..needed)
+            .ok_or_else(|| format!("index data {} bytes, need {needed}", bytes.len()))?;
+        Ok(data.chunks_exact(self.size()).map(move |c| match self {
+            IndexType::U8 => u32::from(c[0]),
+            IndexType::U16 => u32::from(u16::from_le_bytes([c[0], c[1]])),
+        }))
+    }
 }
 
 /// Vertex attribute component types (ES 2.0 subset).

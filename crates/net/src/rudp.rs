@@ -36,6 +36,10 @@ use crate::channel::ChannelModel;
 /// Maximum datagram payload (typical WiFi MTU minus headers).
 pub const MTU: usize = 1400;
 
+/// Default retransmission timeout: one round of loss recovery, which
+/// the engines also charge per excess retransmission on a lossy link.
+pub const DEFAULT_RTO: SimDuration = SimDuration::from_millis(20);
+
 /// Transport configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RudpConfig {
@@ -52,7 +56,7 @@ impl Default for RudpConfig {
         RudpConfig {
             mtu: MTU,
             window: 64,
-            rto: SimDuration::from_millis(20),
+            rto: DEFAULT_RTO,
         }
     }
 }

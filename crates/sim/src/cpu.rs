@@ -53,6 +53,12 @@ impl CpuSpec {
     pub fn total_gcycles_per_sec(&self) -> f64 {
         self.clock_ghz * self.cores as f64
     }
+
+    /// Power at whole-chip `utilization`, in watts: linear between idle
+    /// and full load.
+    pub fn power_w(&self, utilization: f64) -> f64 {
+        self.idle_power_w + (self.max_power_w - self.idle_power_w) * utilization
+    }
 }
 
 /// A stateful CPU accruing energy at a given utilization.
@@ -102,7 +108,7 @@ impl CpuModel {
 
     /// Instantaneous power at `utilization`, in watts.
     pub fn power_w(&self, utilization: f64) -> f64 {
-        self.spec.idle_power_w + (self.spec.max_power_w - self.spec.idle_power_w) * utilization
+        self.spec.power_w(utilization)
     }
 
     /// Total energy consumed so far, in joules.

@@ -88,44 +88,6 @@ impl<E> EventQueue<E> {
         self.now = entry.at;
         Some((entry.at, entry.event))
     }
-
-    /// The current simulated clock (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drains every event in time order, calling `f(now, event)`.
-    ///
-    /// Handlers may push further events through the returned handle.
-    pub fn run<F>(&mut self, mut f: F)
-    where
-        F: FnMut(SimTime, E, &mut Pusher<'_, E>),
-    {
-        while let Some(entry) = self.heap.pop() {
-            self.now = entry.at;
-            let mut staged = Vec::new();
-            {
-                let mut pusher = Pusher {
-                    now: self.now,
-                    staged: &mut staged,
-                };
-                f(entry.at, entry.event, &mut pusher);
-            }
-            for (at, ev) in staged {
-                self.push(at, ev);
-            }
-        }
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -137,29 +99,9 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// Handle given to [`EventQueue::run`] handlers to schedule follow-up events.
-#[derive(Debug)]
-pub struct Pusher<'a, E> {
-    now: SimTime,
-    staged: &'a mut Vec<(SimTime, E)>,
-}
-
-impl<E> Pusher<'_, E> {
-    /// Schedules `event` at `at` (clamped to now).
-    pub fn push(&mut self, at: SimTime, event: E) {
-        self.staged.push((at.max(self.now), event));
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -185,36 +127,10 @@ mod tests {
     fn clock_advances_monotonically() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(10), ());
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_millis(10));
-        // Scheduling in the past clamps to now.
+        assert_eq!(q.pop(), Some((SimTime::from_millis(10), ())));
+        // Scheduling in the past clamps to the last popped event's time.
         q.push(SimTime::from_millis(1), ());
         let (at, _) = q.pop().unwrap();
         assert_eq!(at, SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn run_allows_cascading_events() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 0u32);
-        let mut fired = Vec::new();
-        q.run(|now, ev, pusher| {
-            fired.push((now, ev));
-            if ev < 3 {
-                pusher.push(now + SimDuration::from_millis(5), ev + 1);
-            }
-        });
-        assert_eq!(fired.len(), 4);
-        assert_eq!(fired[3].0, SimTime::from_millis(15));
-        assert_eq!(fired[3].1, 3);
-    }
-
-    #[test]
-    fn push_does_not_advance_clock() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(9), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

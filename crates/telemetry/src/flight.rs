@@ -124,16 +124,16 @@ impl FlightRecorder {
     }
 
     /// Reports a fault. The first call emits a dump of `frames` (the
-    /// stitched traces leading up to the fault, oldest first) and
-    /// returns `true`; every later call only bumps
-    /// [`FlightRecorder::faults_seen`] — the latch keeps the dump
-    /// describing the *primary* fault.
+    /// stitched traces leading up to the fault, oldest first) and the
+    /// registry `snapshot`, and returns `true`; every later call only
+    /// bumps [`FlightRecorder::faults_seen`] — the latch keeps the dump
+    /// describing the *primary* fault — and never takes the snapshot.
     pub fn trigger(
         &mut self,
         fault: Fault,
         at: SimTime,
         frames: &[FrameTrace],
-        snapshot: TelemetrySnapshot,
+        snapshot: impl FnOnce() -> TelemetrySnapshot,
     ) -> bool {
         self.faults_seen += 1;
         if self.has_fired() {
@@ -151,7 +151,7 @@ impl FlightRecorder {
             fault,
             at,
             frames: frames.to_vec(),
-            snapshot,
+            snapshot: snapshot(),
         });
         true
     }
@@ -205,7 +205,7 @@ mod tests {
             Fault::LossStorm,
             SimTime::from_micros(99),
             log.tail(3),
-            TelemetrySnapshot::default()
+            TelemetrySnapshot::default
         ));
         let dump = &rec.dumps()[0];
         let seqs: Vec<u64> = dump.frames.iter().map(|f| f.seq).collect();
@@ -221,19 +221,19 @@ mod tests {
             Fault::DispatchTimeout,
             SimTime::from_micros(5),
             log.tail(2),
-            TelemetrySnapshot::default()
+            TelemetrySnapshot::default
         ));
         assert!(!rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(6),
             log.tail(2),
-            TelemetrySnapshot::default()
+            TelemetrySnapshot::default
         ));
         assert!(!rec.trigger(
             Fault::InterfaceFlap,
             SimTime::from_micros(7),
             log.tail(2),
-            TelemetrySnapshot::default()
+            TelemetrySnapshot::default
         ));
         assert_eq!(rec.dumps().len(), 1);
         assert_eq!(rec.dumps()[0].fault, Fault::DispatchTimeout);
@@ -249,7 +249,7 @@ mod tests {
             Fault::InterfaceFlap,
             SimTime::from_micros(2_500),
             log.tail(4),
-            TelemetrySnapshot::default(),
+            TelemetrySnapshot::default,
         );
         let jsonl = rec.dumps()[0].to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -273,13 +273,13 @@ mod tests {
             Fault::NodeLoss,
             SimTime::from_micros(1_000),
             &[],
-            TelemetrySnapshot::default(),
+            TelemetrySnapshot::default,
         );
         rec.trigger(
             Fault::LossStorm,
             SimTime::from_micros(2_000),
             &[],
-            TelemetrySnapshot::default(),
+            TelemetrySnapshot::default,
         );
         // One dump, one journal entry — the latch gates both.
         let events = ops.events();
@@ -306,7 +306,7 @@ mod tests {
             Fault::LossStorm,
             SimTime::from_micros(11_900),
             log.tail(3),
-            TelemetrySnapshot::default(),
+            TelemetrySnapshot::default,
         );
         let seqs: Vec<u64> = rec.dumps()[0].frames.iter().map(|f| f.seq).collect();
         assert_eq!(seqs, [2, 3, 4]);

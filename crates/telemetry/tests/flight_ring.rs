@@ -47,7 +47,7 @@ fn wraparound_evicts_oldest_latches_once_and_dumps_well_formed_jsonl() {
             Fault::LossStorm,
             SimTime::from_micros(900_000 + i),
             log.tail(N),
-            reg.snapshot(),
+            || reg.snapshot(),
         );
         if fired {
             emitted += 1;
@@ -129,7 +129,7 @@ fn wraparound_at_exact_capacity_boundary() {
         Fault::NodeLoss,
         SimTime::from_micros(123),
         log.tail(N),
-        Registry::new().snapshot(),
+        || Registry::new().snapshot(),
     );
     let seqs: Vec<u64> = rec.dumps()[0].frames.iter().map(|f| f.seq).collect();
     assert_eq!(seqs, vec![1, 2, 3, 4]);
